@@ -15,16 +15,12 @@
 //   * Point lookups: AdsNodeIndex binary search vs the linear AdsView scan.
 //   * CLAIM-SWEEP-FUSION: K statistics as one fused SweepPlan vs K
 //     standalone whole-graph queries over a resident-limited sharded
-//     backend. Sequential cost grows ~linearly in K (K shard sweeps, K
-//     HIP scans per node); the fused plan pays one sweep plus only the
+//     backend. Sequential cost grows ~linearly in K (K shard sweeps, each
+//     reloading every shard); the fused plan pays one sweep plus only the
 //     per-collector reduction — the recorded baseline justifies routing
 //     every multi-statistic caller (CLI stats, examples) through one plan.
-//   * CLAIM-SOA-LAYOUT: the per-node HIP estimator sweep over the flat
-//     AoS arena vs the same sweep over the split SoaAdsArena
-//     (dist[]/rank[]/... per-field streams). The recorded baseline shows
-//     SoA does NOT beat AoS here (the scan is dominated by the HipEntry
-//     output allocation, not input bandwidth), which is why the SoA
-//     layout stays an experiment rather than the serving default.
+//     The plain shards carry no HIP section, so every shard load also
+//     computes the shard's weights; the Hip variant reads stored ones.
 
 #include <benchmark/benchmark.h>
 
@@ -240,46 +236,13 @@ BENCHMARK(BM_MultiStatSequential)->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Unit(
     benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// CLAIM-SOA-LAYOUT: the estimator sweep over AoS vs SoA entry layouts —
-// the same per-node HipEstimator construction + harmonic fold, reading
-// AdsEntry structs vs split per-field streams.
-// ---------------------------------------------------------------------------
-
-void BM_SweepHipAos(benchmark::State& state) {
-  const FlatAdsSet& set = SharedSet(4000);
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (NodeId v = 0; v < set.num_nodes(); ++v) {
-      HipEstimator est(set.of(v), set.k, set.flavor, set.ranks);
-      sum += est.HarmonicCentrality();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_SweepHipAos)->Unit(benchmark::kMillisecond);
-
-void BM_SweepHipSoa(benchmark::State& state) {
-  static const SoaAdsArena& soa =
-      *new SoaAdsArena(SoaAdsArena::FromFlat(SharedSet(4000)));
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (NodeId v = 0; v < soa.num_nodes(); ++v) {
-      HipEstimator est(soa.of(v), soa.k, soa.flavor, soa.ranks);
-      sum += est.HarmonicCentrality();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_SweepHipSoa)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
 // CLAIM-HIP-RESIDENT: the per-node HIP estimator cost, per entry, for the
-// three ways of obtaining the adjusted weights — a fresh allocating scan
-// (what the estimator did before HipScratch), the allocation-free scan
-// into a reusable scratch, and wrapping precomputed storage-resident
-// arrays (tentpole: no scan at all, just pointer arithmetic). All three
-// produce bitwise identical statistics; the recorded baseline quantifies
-// what precomputation saves per query.
+// two ways of obtaining the adjusted weights — a fresh owning scan (the
+// test oracle, and what computing weights at open costs per entry) and
+// wrapping precomputed storage-resident arrays (what every serving path
+// does: no scan at all, just pointer arithmetic). Both produce bitwise
+// identical statistics; the recorded baseline quantifies what
+// precomputation saves per query.
 // ---------------------------------------------------------------------------
 
 const FlatAdsSet& SharedHipSet(uint32_t n) {
@@ -308,22 +271,6 @@ void BM_HipScanOwned(benchmark::State& state) {
 }
 BENCHMARK(BM_HipScanOwned)->Unit(benchmark::kMillisecond);
 
-void BM_HipScanScratch(benchmark::State& state) {
-  const FlatAdsSet& set = SharedSet(4000);
-  HipScratch scratch;
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (NodeId v = 0; v < set.num_nodes(); ++v) {
-      HipEstimator est(set.of(v), set.k, set.flavor, set.ranks, &scratch);
-      sum += est.HarmonicCentrality();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(set.TotalEntries()));
-}
-BENCHMARK(BM_HipScanScratch)->Unit(benchmark::kMillisecond);
-
 void BM_HipPrecomputed(benchmark::State& state) {
   const FlatAdsSet& set = SharedHipSet(4000);
   for (auto _ : state) {
@@ -342,8 +289,8 @@ void BM_HipPrecomputed(benchmark::State& state) {
 BENCHMARK(BM_HipPrecomputed)->Unit(benchmark::kMillisecond);
 
 // The fused battery again, over the same sharded layout but with the HIP
-// section resident in every shard file: the sweep consumes the stored
-// weights instead of re-scanning each node per collector pass.
+// section resident in every shard file: shard loads read the stored
+// weights instead of computing them.
 const ShardedAdsSet& SharedShardedHipSet() {
   static ShardedAdsSet* set = [] {
     std::string dir = TempPath("bench_serve_fusion_hip_shards");
@@ -405,9 +352,9 @@ BENCHMARK(BM_PointLookupIndexed);
 
 // ---------------------------------------------------------------------------
 // --perf-smoke <baseline.json>: the CI regression guard. Times the fused
-// K=1 and K=6 sweeps (scan and hip-resident) directly — seconds, not the
-// full benchmark run — and compares the K=6/K=1 CPU *ratios* against the
-// recorded baseline's. Ratios cancel out absolute machine speed, so the
+// K=1 and K=6 sweeps (weights computed at shard load, and stored in the
+// shard files) directly — seconds, not the full benchmark run — and
+// compares the K=6/K=1 CPU *ratios* against the recorded baseline's. Ratios cancel out absolute machine speed, so the
 // check is safe on a slow 1-core CI box; a >30% ratio regression means the
 // per-statistic sweep cost genuinely grew and the step fails.
 // ---------------------------------------------------------------------------
@@ -461,12 +408,12 @@ int PerfSmoke(const char* baseline_path) {
     return 2;
   }
 
-  const ShardedAdsSet& scan = SharedShardedSet();
+  const ShardedAdsSet& plain = SharedShardedSet();
   const ShardedAdsSet& hip = SharedShardedHipSet();
-  TimeFusedSweepMs(scan, 1);  // warm the page cache and shard arenas
+  TimeFusedSweepMs(plain, 1);  // warm the page cache and shard arenas
   TimeFusedSweepMs(hip, 1);
-  const double t1 = TimeFusedSweepMs(scan, 1);
-  const double t6 = TimeFusedSweepMs(scan, 6);
+  const double t1 = TimeFusedSweepMs(plain, 1);
+  const double t6 = TimeFusedSweepMs(plain, 6);
   const double th6 = TimeFusedSweepMs(hip, 6);
   if (t1 <= 0.0 || t6 <= 0.0 || th6 <= 0.0) {
     std::fprintf(stderr, "perf-smoke: fused sweep failed\n");

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "ads/hip.h"
 #include "ads/serialize.h"
 #include "ads/shard.h"
 
@@ -19,6 +20,40 @@
 
 namespace hipads {
 
+namespace {
+
+const double* DataOrNull(const std::vector<double>& v) {
+  return v.empty() ? nullptr : v.data();
+}
+
+// The one place a serving engine obtains HIP weights its store lacks:
+// computed once, at open, into `tau`/`weight`, over the CSR arena
+// `offsets`/`entries`. The weights do not depend on the thread count, and
+// the open may already run inside a caller's pool (a sharded engine's
+// prefetch worker, a server's sweep), so the pass runs inline on the
+// opening thread. Permutation ranks have no HIP weights (the permutation
+// estimator applies) and no file format can hold them, so only in-memory
+// sets can reach the early return.
+void ComputeHipAtOpen(const uint64_t* offsets, const AdsEntry* entries,
+                      size_t num_nodes, uint32_t k, SketchFlavor flavor,
+                      const RankAssignment& ranks, std::vector<double>* tau,
+                      std::vector<double>* weight) {
+  if (ranks.kind() == RankKind::kPermutation) return;
+  const uint64_t n = offsets[num_nodes];
+  tau->resize(n);
+  weight->resize(n);
+  PrecomputeHipWeights(offsets, entries, num_nodes, k, flavor, ranks,
+                       tau->data(), weight->data(), /*num_threads=*/1);
+}
+
+void ComputeHipAtOpen(const FlatAdsSet& set, std::vector<double>* tau,
+                      std::vector<double>* weight) {
+  ComputeHipAtOpen(set.offsets.data(), set.entries.data(), set.num_nodes(),
+                   set.k, set.flavor, set.ranks, tau, weight);
+}
+
+}  // namespace
+
 AdsBackend::~AdsBackend() = default;
 
 void AdsBackend::Prefetch(uint32_t /*r*/) const {}
@@ -27,22 +62,37 @@ void AdsBackend::Prefetch(uint32_t /*r*/) const {}
 // FlatAdsBackend
 // ---------------------------------------------------------------------------
 
-StatusOr<AdsArenaView> FlatAdsBackend::Range(uint32_t r) const {
-  if (r != 0) {
-    return Status::InvalidArgument("range " + std::to_string(r) +
-                                   " out of bounds (1 range)");
+FlatAdsBackend::FlatAdsBackend(FlatAdsSet set) : owned_(std::move(set)) {
+  if (!owned_.has_hip()) {
+    ComputeHipAtOpen(owned_, &owned_.hip_tau, &owned_.hip_weight);
   }
+}
+
+FlatAdsBackend::FlatAdsBackend(const FlatAdsSet* set) : set_(set) {
+  if (!set->has_hip()) {
+    ComputeHipAtOpen(*set, &hip_tau_, &hip_weight_);
+  }
+}
+
+AdsArenaView FlatAdsBackend::Arena() const {
   const FlatAdsSet& s = set();
   AdsArenaView view;
   view.begin = 0;
   view.end = static_cast<NodeId>(s.num_nodes());
   view.offsets = s.offsets.data();
   view.entries = s.entries.data();
-  if (s.has_hip()) {
-    view.hip_tau = s.hip_tau.data();
-    view.hip_weight = s.hip_weight.data();
-  }
+  const bool own = s.has_hip();
+  view.hip_tau = DataOrNull(own ? s.hip_tau : hip_tau_);
+  view.hip_weight = DataOrNull(own ? s.hip_weight : hip_weight_);
   return view;
+}
+
+StatusOr<AdsArenaView> FlatAdsBackend::Range(uint32_t r) const {
+  if (r != 0) {
+    return Status::InvalidArgument("range " + std::to_string(r) +
+                                   " out of bounds (1 range)");
+  }
+  return Arena();
 }
 
 StatusOr<AdsView> FlatAdsBackend::ViewOf(NodeId v) const {
@@ -55,14 +105,11 @@ StatusOr<AdsView> FlatAdsBackend::ViewOf(NodeId v) const {
 }
 
 StatusOr<HipView> FlatAdsBackend::HipOf(NodeId v) const {
-  const FlatAdsSet& s = set();
-  if (v >= s.num_nodes()) {
+  if (v >= set().num_nodes()) {
     return Status::InvalidArgument("node " + std::to_string(v) +
                                    " out of range");
   }
-  if (!s.has_hip()) return HipView{};
-  return HipView{s.hip_tau.data() + s.offsets[v],
-                 s.hip_weight.data() + s.offsets[v]};
+  return Arena().hip_of_local(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -88,6 +135,8 @@ MmapAdsSet& MmapAdsSet::operator=(MmapAdsSet&& other) noexcept {
   // Vector moves keep their heap buffers, so fallback-aliasing pointers
   // survive the move unchanged; mapping pointers are position-independent.
   fallback_ = std::move(other.fallback_);
+  computed_tau_ = std::move(other.computed_tau_);
+  computed_weight_ = std::move(other.computed_weight_);
   offsets_ = other.offsets_;
   entries_ = other.entries_;
   hip_tau_ = other.hip_tau_;
@@ -116,8 +165,27 @@ void MmapAdsSet::AdoptFallback() {
   num_entries_ = fallback_.entries.size();
   offsets_ = fallback_.offsets.data();
   entries_ = fallback_.entries.data();
-  hip_tau_ = fallback_.has_hip() ? fallback_.hip_tau.data() : nullptr;
-  hip_weight_ = fallback_.has_hip() ? fallback_.hip_weight.data() : nullptr;
+  hip_tau_ = DataOrNull(fallback_.hip_tau);
+  hip_weight_ = DataOrNull(fallback_.hip_weight);
+}
+
+void MmapAdsSet::EnsureHip() {
+  if (hip_tau_ != nullptr) return;
+  ComputeHipAtOpen(offsets_, entries_, num_nodes_, k_, flavor_, ranks_,
+                   &computed_tau_, &computed_weight_);
+  hip_tau_ = DataOrNull(computed_tau_);
+  hip_weight_ = DataOrNull(computed_weight_);
+}
+
+AdsArenaView MmapAdsSet::Arena() const {
+  AdsArenaView view;
+  view.begin = 0;
+  view.end = static_cast<NodeId>(num_nodes_);
+  view.offsets = offsets_;
+  view.entries = entries_;
+  view.hip_tau = hip_tau_;
+  view.hip_weight = hip_weight_;
+  return view;
 }
 
 StatusOr<MmapAdsSet> MmapAdsSet::OpenFallback(
@@ -127,6 +195,7 @@ StatusOr<MmapAdsSet> MmapAdsSet::OpenFallback(
   MmapAdsSet set;
   set.fallback_ = std::move(loaded).value();
   set.AdoptFallback();
+  set.EnsureHip();
   return set;
 }
 
@@ -198,6 +267,7 @@ StatusOr<MmapAdsSet> MmapAdsSet::Open(const std::string& path,
   set.entries_ = v.entries;
   set.hip_tau_ = v.hip_tau;        // null when the file has no HIP section
   set.hip_weight_ = v.hip_weight;
+  set.EnsureHip();
   return set;
 #else
   return OpenFallback(path, std::move(beta));
@@ -209,14 +279,7 @@ StatusOr<AdsArenaView> MmapAdsSet::Range(uint32_t r) const {
     return Status::InvalidArgument("range " + std::to_string(r) +
                                    " out of bounds (1 range)");
   }
-  AdsArenaView view;
-  view.begin = 0;
-  view.end = static_cast<NodeId>(num_nodes_);
-  view.offsets = offsets_;
-  view.entries = entries_;
-  view.hip_tau = hip_tau_;
-  view.hip_weight = hip_weight_;
-  return view;
+  return Arena();
 }
 
 StatusOr<AdsView> MmapAdsSet::ViewOf(NodeId v) const {
@@ -232,8 +295,7 @@ StatusOr<HipView> MmapAdsSet::HipOf(NodeId v) const {
     return Status::InvalidArgument("node " + std::to_string(v) +
                                    " out of range");
   }
-  if (hip_tau_ == nullptr) return HipView{};
-  return HipView{hip_tau_ + offsets_[v], hip_weight_ + offsets_[v]};
+  return Arena().hip_of_local(v);
 }
 
 // ---------------------------------------------------------------------------

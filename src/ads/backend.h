@@ -7,9 +7,9 @@
 //   * MmapAdsSet     — a hipads-ads-v2 file mapped read-only into the
 //     address space. The v2 layout (fixed header + raw offsets[] +
 //     AdsEntry[] sections) is consumed in place: open is validation only,
-//     with zero allocation and zero copying of the payload. Falls back to
-//     the copying loader for v1 text files, non-canonical entry order, or
-//     platforms without mmap.
+//     with zero copying of the payload. Falls back to the copying loader
+//     for v1 text files, non-canonical entry order, or platforms without
+//     mmap.
 //   * ShardedAdsSet  — a directory of v2 shard files (ads/shard.h), loaded
 //     lazily with bounded residency and, optionally, a background prefetch
 //     thread that loads (or maps) shard s+1 while a sweep consumes shard s.
@@ -22,6 +22,13 @@
 // range's I/O with the current range's compute. Every backend hands the
 // estimator kernels the same canonical entry spans in the same node order,
 // so query results are bitwise identical across backends.
+//
+// Every engine serves HIP adjusted weights (hip.h) for every node. A file
+// that carries the v2 HIP section serves it in place; a file without one
+// (v1 text, a plain v2 file, or a shard of either) has its weights
+// computed once when the engine opens it, into arrays the engine owns.
+// The weights are a pure function of the sketch, so both routes are
+// bitwise identical, and no query path ever scans.
 
 #ifndef HIPADS_ADS_BACKEND_H_
 #define HIPADS_ADS_BACKEND_H_
@@ -30,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ads/flat_ads.h"
 #include "util/status.h"
@@ -38,9 +46,10 @@ namespace hipads {
 
 /// Pointers to one node's precomputed HIP weights: tau[i]/weight[i] belong
 /// to entry i of the node's AdsView (hip.h's aligned layout, including the
-/// k-mins zero-slot convention). present() is false when the backing store
-/// carries no HIP section — callers then fall back to the scan. Pointer
-/// validity follows the producing backend's residency rules.
+/// k-mins zero-slot convention). The built-in engines always return present
+/// weights, except for an arena with no entries at all (and in-memory
+/// permutation-rank sets, to which HIP does not apply). Pointer validity
+/// follows the producing backend's residency rules.
 struct HipView {
   const double* tau = nullptr;
   const double* weight = nullptr;
@@ -57,8 +66,8 @@ struct AdsArenaView {
   NodeId end = 0;  // exclusive
   const uint64_t* offsets = nullptr;  // end - begin + 1 values
   const AdsEntry* entries = nullptr;
-  // Precomputed HIP weight arrays aligned with `entries` (same indexing),
-  // or null when the range's store has no HIP section.
+  // Precomputed HIP weight arrays aligned with `entries` (same indexing);
+  // null only where HipView is absent (see above).
   const double* hip_tau = nullptr;
   const double* hip_weight = nullptr;
 
@@ -109,16 +118,14 @@ class AdsBackend {
   virtual StatusOr<AdsView> ViewOf(NodeId v) const = 0;
 
   /// Precomputed HIP weights of node v, aligned with ViewOf(v)'s entries.
-  /// Absent (present() == false) when the backing store carries no HIP
-  /// section — the caller scans instead; both paths are bitwise identical.
-  /// The default is the conservative "absent". Same residency/validity
-  /// rules as ViewOf.
+  /// Every built-in engine overrides this and returns present weights (see
+  /// HipView); the base returns absent. Same residency/validity rules as
+  /// ViewOf.
   virtual StatusOr<HipView> HipOf(NodeId /*v*/) const { return HipView{}; }
 
-  /// True when EVERY node of the backend serves precomputed HIP weights
-  /// (HipOf never falls back to the scan). Observability for operators
-  /// (`stats`/`serve` report hip=resident|scan); never affects results.
-  virtual bool HipResident() const { return false; }
+  /// Kept for decorators that forward the whole interface: every built-in
+  /// engine serves HIP weights for every node, so this is always true.
+  virtual bool HipResident() const { return true; }
 
   /// Residency hint: a sweep consuming ranges in order will need range r
   /// next. Backends may start loading it in the background; the default is
@@ -135,16 +142,18 @@ class AdsBackend {
 };
 
 /// In-memory backend over a FlatAdsSet arena: one range, no failure paths.
+/// A set without HIP weights gets them computed once at construction.
 class FlatAdsBackend : public AdsBackend {
  public:
   FlatAdsBackend() = default;
 
-  /// Takes ownership of `set`.
-  explicit FlatAdsBackend(FlatAdsSet set) : owned_(std::move(set)) {}
+  /// Takes ownership of `set`, filling its hip arrays if they are empty.
+  explicit FlatAdsBackend(FlatAdsSet set);
 
-  /// Aliases `set`, which must outlive this backend (zero-cost adapter for
-  /// callers that already hold the arena).
-  explicit FlatAdsBackend(const FlatAdsSet* set) : set_(set) {}
+  /// Aliases `set`, which must outlive this backend. If the set carries no
+  /// HIP weights, the backend computes and owns them; otherwise the
+  /// adapter is zero-cost.
+  explicit FlatAdsBackend(const FlatAdsSet* set);
 
   const FlatAdsSet& set() const { return set_ ? *set_ : owned_; }
 
@@ -157,20 +166,25 @@ class FlatAdsBackend : public AdsBackend {
   StatusOr<AdsArenaView> Range(uint32_t r) const override;
   StatusOr<AdsView> ViewOf(NodeId v) const override;
   StatusOr<HipView> HipOf(NodeId v) const override;
-  bool HipResident() const override { return set().has_hip(); }
   bool ImmutableReads() const override { return true; }
 
  private:
+  AdsArenaView Arena() const;
+
   FlatAdsSet owned_;
   const FlatAdsSet* set_ = nullptr;  // aliased set; owned_ when null
+  // Weights computed for an aliased set that carries none.
+  std::vector<double> hip_tau_;
+  std::vector<double> hip_weight_;
 };
 
 /// A hipads-ads-v2 file opened zero-copy: the file is mapped read-only and
 /// validated in place (header, whole-file checksum, structure); AdsViews
-/// point directly into the mapping, so open allocates nothing and copies
-/// nothing. When zero-copy open is impossible — v1 text input, entry blocks
-/// not in canonical order, or no mmap on the platform — Open degrades
-/// gracefully to the copying loader and owns a FlatAdsSet instead
+/// point directly into the mapping, so open copies nothing. A file without
+/// the HIP section gets its weights computed at open into owned arrays
+/// (16 bytes/entry). When zero-copy open is impossible — v1 text input,
+/// entry blocks not in canonical order, or no mmap on the platform — Open
+/// degrades gracefully to the copying loader and owns a FlatAdsSet instead
 /// (zero_copy() reports which path was taken). Corrupt v2 input always
 /// fails; it is never silently re-parsed.
 class MmapAdsSet : public AdsBackend {
@@ -202,7 +216,6 @@ class MmapAdsSet : public AdsBackend {
   StatusOr<AdsArenaView> Range(uint32_t r) const override;
   StatusOr<AdsView> ViewOf(NodeId v) const override;
   StatusOr<HipView> HipOf(NodeId v) const override;
-  bool HipResident() const override { return hip_tau_ != nullptr; }
   bool ImmutableReads() const override { return true; }
 
  private:
@@ -211,6 +224,9 @@ class MmapAdsSet : public AdsBackend {
 
   // Points offsets_/entries_ and the parameters at the fallback arena.
   void AdoptFallback();
+  // Computes the HIP weights into computed_* when the store has none.
+  void EnsureHip();
+  AdsArenaView Arena() const;
   void Unmap();
 
   void* map_ = nullptr;  // non-null iff serving from the file mapping
@@ -222,12 +238,13 @@ class MmapAdsSet : public AdsBackend {
   uint64_t num_entries_ = 0;
   const uint64_t* offsets_ = nullptr;
   const AdsEntry* entries_ = nullptr;
-  // Precomputed HIP weights when the file carries the optional section
-  // (mapped in place, or aliasing the fallback arena's arrays); null when
-  // the file has none and point/sweep paths scan instead.
+  // HIP weights: the file's section (mapped in place, or aliasing the
+  // fallback arena's arrays), or computed_* when the file has none.
   const double* hip_tau_ = nullptr;
   const double* hip_weight_ = nullptr;
   FlatAdsSet fallback_;  // storage when !zero_copy()
+  std::vector<double> computed_tau_;
+  std::vector<double> computed_weight_;
 };
 
 /// How OpenAdsBackend materializes single-file sets and shard arenas.

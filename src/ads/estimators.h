@@ -18,30 +18,26 @@
 #define HIPADS_ADS_ESTIMATORS_H_
 
 #include <functional>
-#include <span>
 
 #include "ads/ads.h"
 #include "ads/hip.h"
 
 namespace hipads {
 
-/// HIP estimates over one ADS. Three construction modes share one query
+/// HIP estimates over one ADS. Two construction modes share one query
 /// surface and produce bitwise-identical estimates:
 ///
-///   * scan (owning)     — runs the increasing-distance scan and owns the
-///                         resulting HipEntry vector (the original API).
-///   * scan (scratch)    — the same scan into a caller-owned HipScratch;
-///                         allocation-free in the steady state. The
-///                         estimator borrows the scratch's entries, so it
-///                         is valid only until the scratch's next scan.
-///   * precomputed       — wraps per-entry tau/weight arrays aligned with
-///                         the ADS entries (a file's HIP section or
-///                         PrecomputeHipWeights output): no scan, no
-///                         allocation, construction is three pointer
-///                         assignments. Iteration skips tau == 0 sentinel
-///                         slots (non-first members of a k-mins run), which
-///                         reproduces the scan's grouped entry sequence
-///                         exactly.
+///   * precomputed — wraps per-entry tau/weight arrays aligned with the ADS
+///                   entries (a file's HIP section, or the weights every
+///                   serving engine computes at open when the section is
+///                   missing): no scan, no allocation, construction is
+///                   three pointer assignments. Iteration skips tau == 0
+///                   sentinel slots (non-first members of a k-mins run),
+///                   which reproduces the scan's grouped entry sequence
+///                   exactly. This is the mode every serving path uses.
+///   * scan        — runs the increasing-distance scan and owns the
+///                   resulting HipEntry vector: the single-ADS API and the
+///                   oracle the precomputed weights are tested against.
 ///
 /// Queries are one ordered pass over the adjusted weights (cardinalities
 /// early-exit at the distance bound). Every query folds weights in the
@@ -53,27 +49,14 @@ class HipEstimator {
   /// executor's reusable block buffers need before assignment.
   HipEstimator() = default;
 
-  /// Works off either storage layout: an AdsView over the per-node vectors
-  /// of an AdsSet or over a slice of a FlatAdsSet arena.
+  /// Scan mode over an AdsView (per-node vector of an AdsSet or a slice of
+  /// a flat arena).
   HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,
                const RankAssignment& ranks);
 
   HipEstimator(const Ads& ads, uint32_t k, SketchFlavor flavor,
                const RankAssignment& ranks)
       : HipEstimator(ads.view(), k, flavor, ranks) {}
-
-  /// Structure-of-arrays layout (a SoaAdsArena slice): the same HIP scan
-  /// over split per-field streams; every estimate is bitwise identical to
-  /// the AdsView overload on the same sketch.
-  HipEstimator(const SoaAdsView& ads, uint32_t k, SketchFlavor flavor,
-               const RankAssignment& ranks);
-
-  /// Scratch-scan mode: the identical scan, written into `scratch` instead
-  /// of a fresh allocation. The estimator (and its copies) borrows
-  /// scratch->entries — valid until the scratch is scanned again or
-  /// destroyed.
-  HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,
-               const RankAssignment& ranks, HipScratch* scratch);
 
   /// Precomputed mode: adopts per-entry tau/weight arrays aligned with
   /// `ads`'s entries (hip.h's aligned layout). No scan runs; the arrays
@@ -138,8 +121,7 @@ class HipEstimator {
 
  private:
   /// Ordered walk with early exit: fn returns false to stop. Precomputed
-  /// mode skips tau == 0 slots; the other modes iterate the grouped
-  /// vector/span directly.
+  /// mode skips tau == 0 slots; scan mode iterates the grouped vector.
   template <typename Fn>
   void ForEachUntil(Fn&& fn) const {
     if (pre_tau_ != nullptr) {
@@ -152,17 +134,13 @@ class HipEstimator {
       }
       return;
     }
-    std::span<const HipEntry> entries =
-        borrowed_.data() != nullptr ? borrowed_
-                                    : std::span<const HipEntry>(owned_);
-    for (const HipEntry& e : entries) {
+    for (const HipEntry& e : owned_) {
       if (!fn(e)) return;
     }
   }
 
-  // Scan modes: the grouped entries, owned or borrowed from a HipScratch.
-  std::vector<HipEntry> owned_;          // increasing distance
-  std::span<const HipEntry> borrowed_;   // non-null data() = scratch mode
+  // Scan mode: the grouped entries, increasing distance.
+  std::vector<HipEntry> owned_;
   // Precomputed mode: entry arena + aligned weight arrays (borrowed).
   const AdsEntry* pre_entries_ = nullptr;
   const double* pre_tau_ = nullptr;      // non-null = precomputed mode

@@ -20,18 +20,18 @@
 //   k-partition: tau = (1/k) sum_h min_h, Eq. (8).
 //
 // Because the weights are a pure function of the sketch and its build
-// parameters, they can be computed ONCE and stored: ComputeHipWeightsAligned
+// parameters, they are computed ONCE and stored: ComputeHipWeightsAligned
 // emits them as per-entry tau/weight arrays aligned with the canonical entry
-// sequence (the hipads-ads-v2 optional HIP section's layout), and
-// PrecomputeHipWeights fills a whole FlatAdsSet's arrays in parallel. For
-// callers that still scan, ComputeHipWeightsInto reuses a caller-owned
-// HipScratch arena so the steady state allocates nothing. All paths run the
-// same kernels in the same order, so every variant is bitwise identical.
+// sequence (the hipads-ads-v2 HIP section's layout), and
+// PrecomputeHipWeights fills a whole arena's arrays — in parallel at write
+// time, inline when a serving engine opens a file without the section. The
+// grouped ComputeHipWeights scan is the owning test oracle. Both run the
+// same kernels in the same order, so stored and scanned weights are
+// bitwise identical.
 
 #ifndef HIPADS_ADS_HIP_H_
 #define HIPADS_ADS_HIP_H_
 
-#include <span>
 #include <vector>
 
 #include "ads/ads.h"
@@ -50,19 +50,18 @@ struct HipEntry {
 };
 
 /// Reusable buffers for the HIP scan. One scratch serves any number of
-/// consecutive scans (one per node of a sweep, say); after warm-up no scan
-/// allocates. Not thread-safe — use one per thread.
+/// consecutive scans (one per node of a precompute pass, say); after
+/// warm-up no scan allocates. Not thread-safe — use one per thread.
 struct HipScratch {
-  std::vector<HipEntry> entries;  ///< output of ComputeHipWeightsInto
   BottomKSketch closer{1};        ///< bottom-k running threshold
   std::vector<double> mins;       ///< k-mins / k-partition bucket minima
 };
 
 /// Computes HIP adjusted weights for every node of an ADS (given as a view
-/// over its canonical-order entries — either storage layout), in increasing
-/// distance order. `k`, `flavor` and `ranks` must match the parameters the
-/// ADS was built with. Works for uniform, base-b and exponential ranks
-/// (permutation ranks use the dedicated permutation estimator instead).
+/// over its canonical-order entries), in increasing distance order. `k`,
+/// `flavor` and `ranks` must match the parameters the ADS was built with.
+/// Works for uniform, base-b and exponential ranks (permutation ranks use
+/// the dedicated permutation estimator instead).
 std::vector<HipEntry> ComputeHipWeights(AdsView ads, uint32_t k,
                                         SketchFlavor flavor,
                                         const RankAssignment& ranks);
@@ -72,26 +71,6 @@ inline std::vector<HipEntry> ComputeHipWeights(const Ads& ads, uint32_t k,
                                                const RankAssignment& ranks) {
   return ComputeHipWeights(ads.view(), k, flavor, ranks);
 }
-
-/// Structure-of-arrays overload: the same scan over a SoaAdsArena slice.
-/// The kernels are shared templates over the entry layout, so the output
-/// is bitwise identical to the AdsView overload on the same sketch.
-std::vector<HipEntry> ComputeHipWeights(const SoaAdsView& ads, uint32_t k,
-                                        SketchFlavor flavor,
-                                        const RankAssignment& ranks);
-
-/// Allocation-free variant of ComputeHipWeights: runs the identical scan
-/// into `scratch` and returns a view of scratch->entries, valid until the
-/// scratch is next used. Bitwise identical to the allocating API.
-std::span<const HipEntry> ComputeHipWeightsInto(AdsView ads, uint32_t k,
-                                                SketchFlavor flavor,
-                                                const RankAssignment& ranks,
-                                                HipScratch* scratch);
-std::span<const HipEntry> ComputeHipWeightsInto(const SoaAdsView& ads,
-                                                uint32_t k,
-                                                SketchFlavor flavor,
-                                                const RankAssignment& ranks,
-                                                HipScratch* scratch);
 
 /// Emits the scan's results as per-entry arrays aligned with the canonical
 /// entry sequence: tau[i]/weight[i] belong to entry i. For k-mins, where one
@@ -105,11 +84,18 @@ void ComputeHipWeightsAligned(AdsView ads, uint32_t k, SketchFlavor flavor,
                               const RankAssignment& ranks, HipScratch* scratch,
                               double* tau, double* weight);
 
-/// Fills `set`'s hip_tau/hip_weight arrays (one double per entry, aligned
-/// layout above) by scanning every node, parallelized over nodes with
-/// `num_threads` (0 = hardware count). Deterministic: each node's slice is
-/// written independently, so the result is identical for any thread count
-/// and bitwise equal to per-node fresh scans.
+/// Fills tau/weight (one double per entry of the CSR arena `offsets`
+/// (num_nodes + 1 values) / `entries`, aligned layout above) by scanning
+/// every node, parallelized over nodes with `num_threads` (0 = hardware
+/// count). Deterministic: each node's slice is written independently, so
+/// the result is identical for any thread count and bitwise equal to
+/// per-node fresh scans.
+void PrecomputeHipWeights(const uint64_t* offsets, const AdsEntry* entries,
+                          size_t num_nodes, uint32_t k, SketchFlavor flavor,
+                          const RankAssignment& ranks, double* tau,
+                          double* weight, uint32_t num_threads = 0);
+
+/// Fills `set`'s hip_tau/hip_weight arrays with the pass above.
 void PrecomputeHipWeights(FlatAdsSet* set, uint32_t num_threads = 0);
 
 /// HIP adjusted weights for an Appendix-A modified bottom-k ADS (built by

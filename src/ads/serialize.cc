@@ -520,7 +520,7 @@ StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
   // Adopt the HIP section only when the entries kept their stored order:
   // the arrays are positionally aligned with the arena, so a re-sort above
   // would desynchronize them. Dropping them is safe — they are pure
-  // derived data the scan fallback recomputes.
+  // derived data the serving engines recompute at open.
   if (v.has_hip() && v.canonical_order) {
     set.hip_tau.assign(v.hip_tau, v.hip_tau + v.num_entries);
     set.hip_weight.assign(v.hip_weight, v.hip_weight + v.num_entries);

@@ -434,26 +434,6 @@ Status ShardedAdsSet::ValidateFiles() const {
   return Status::Ok();
 }
 
-bool ShardedAdsSet::HipResident() const {
-  if (hip_resident_ < 0) {
-    bool all = !shards_.empty();
-    for (const ShardInfo& info : shards_) {
-      std::error_code ec;
-      uint64_t actual =
-          std::filesystem::file_size(JoinPath(dir_, info.file), ec);
-      if (ec ||
-          actual != AdsBinaryFileSize(info.end - info.begin,
-                                      info.num_entries) +
-                        AdsHipSectionBytes(info.num_entries)) {
-        all = false;
-        break;
-      }
-    }
-    hip_resident_ = all ? 1 : 0;
-  }
-  return hip_resident_ == 1;
-}
-
 void ShardedAdsSet::EvictFor(uint32_t installing) const {
   // Evict least-recently-used resident arenas until under budget (never
   // the arena being installed), keeping NumResident() <= max_resident_.

@@ -162,12 +162,9 @@ class ShardedAdsSet : public AdsBackend {
   }
   StatusOr<AdsArenaView> Range(uint32_t r) const override;
   StatusOr<AdsView> ViewOf(NodeId v) const override;
+  /// Shards load through the flat and mmap engines, so every shard serves
+  /// HIP weights: its file's section, or weights computed at load.
   StatusOr<HipView> HipOf(NodeId v) const override;
-  /// True iff EVERY shard file carries the HIP section (size-probed once,
-  /// lazily, without loading arenas). A mixed set reports false but still
-  /// serves precomputed weights from the shards that have them — each
-  /// range's arena view carries its own hip pointers.
-  bool HipResident() const override;
   void Prefetch(uint32_t r) const override;
   // Lazy loading + LRU eviction mutate residency state on reads, so the
   // sharded engine keeps the base-class contract: external serialization.
@@ -211,9 +208,6 @@ class ShardedAdsSet : public AdsBackend {
   mutable std::vector<uint64_t> last_used_;
   mutable uint64_t tick_ = 0;
   mutable std::unique_ptr<Prefetcher> prefetcher_;
-  // Lazily computed HipResident() answer (-1 = unknown). Consumer-side
-  // state like the residency cache: externally serialized.
-  mutable int8_t hip_resident_ = -1;
 };
 
 }  // namespace hipads

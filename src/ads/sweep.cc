@@ -32,57 +32,10 @@ SweepCounters& Counters() {
 // the Reduce phase folds nodes in node order across block boundaries.
 constexpr size_t kSweepBlock = 4096;
 
-AdsView ViewOf(const AdsSet& set, NodeId v) { return set.of(v).view(); }
-AdsView ViewOf(const FlatAdsSet& set, NodeId v) { return set.of(v); }
-
-// Precomputed HIP weights of node v, when the set's storage carries them
-// (absent HipView = run the scan). Only the flat arena and backend ranges
-// can hold the aligned arrays; per-node-vector AdsSets never do.
-HipView HipViewOf(const AdsSet& /*set*/, NodeId /*v*/) { return HipView{}; }
-HipView HipViewOf(const FlatAdsSet& set, NodeId v) {
-  if (!set.has_hip()) return HipView{};
-  return HipView{set.hip_tau.data() + set.offsets[v],
-                 set.hip_weight.data() + set.offsets[v]};
-}
-
-// Adapter presenting one backend range to the executor with the same
-// member surface as AdsSet/FlatAdsSet (k/flavor/ranks + per-node views,
-// node ids local to the range). Sharing the executor template is what
-// makes backend results bitwise identical to the single-arena sweeps.
-struct ArenaSet {
-  AdsArenaView arena;
-  SketchFlavor flavor;
-  uint32_t k;
-  const RankAssignment& ranks;
-  size_t num_nodes() const { return arena.num_nodes(); }
-};
-AdsView ViewOf(const ArenaSet& set, NodeId v) { return set.arena.of_local(v); }
-HipView HipViewOf(const ArenaSet& set, NodeId v) {
-  return set.arena.hip_of_local(v);
-}
-
-// One node's estimator, cheapest mode first: wrap the storage-resident
-// weights when present (no scan, no allocation), otherwise scan into the
-// caller's reusable scratch (no allocation after warm-up). Both modes are
-// bitwise identical to each other and to the old allocating constructor.
-template <typename SetT>
-HipEstimator MakeEstimator(const SetT& set, NodeId local,
-                           HipScratch* scratch) {
-  HipView hip = HipViewOf(set, local);
-  if (hip.present()) {
-    return HipEstimator(ViewOf(set, local), hip.tau, hip.weight);
-  }
-  return HipEstimator(ViewOf(set, local), set.k, set.flavor, set.ranks,
-                      scratch);
-}
-
 // Reusable executor state, alive across the ranges of a backend sweep:
-// the reduce path's block of estimators plus the per-slot scratches that
-// back their scan fallback, and the no-reduce path's per-chunk scratches.
+// the reduce path's block of estimators.
 struct SweepBuffers {
   std::vector<HipEstimator> block;
-  std::vector<HipScratch> block_scratch;  // parallel to `block`
-  std::vector<HipScratch> chunk_scratch;  // indexed by ParallelFor chunk
 };
 
 bool AnyNeedsReduce(const SweepPlan& plan) {
@@ -92,35 +45,30 @@ bool AnyNeedsReduce(const SweepPlan& plan) {
   return false;
 }
 
-// The fused sweep over one arena: per block, construct each node's
-// HipEstimator once (in parallel, outputs indexed by block slot), feed
-// every collector's Map from it, then hand the block's estimators to
-// every collector's Reduce in node order. When no collector reduces, the
-// block buffer is skipped entirely: each estimator lives on the stack
-// just long enough for the Map calls, so a plan of per-node collectors
-// sweeps with O(threads) peak memory instead of O(block). `global_begin`
-// offsets the arena-local node ids so a sharded backend's ranges chain
-// seamlessly.
-template <typename SetT>
-void SweepArena(const SetT& set, NodeId global_begin, SweepPlan& plan,
-                ThreadPool& pool, SweepBuffers& buffers) {
-  size_t n = set.num_nodes();
+// The fused sweep over one backend range: per block, wrap each node's
+// stored HIP weights in its estimator once (in parallel, outputs indexed
+// by block slot), feed every collector's Map from it, then hand the
+// block's estimators to every collector's Reduce in node order. When no
+// collector reduces, the block buffer is skipped entirely: each estimator
+// lives on the stack just long enough for the Map calls, so a plan of
+// per-node collectors sweeps with O(threads) peak memory instead of
+// O(block). The range's `begin` offsets the arena-local node ids so a
+// sharded backend's ranges chain seamlessly.
+void SweepArena(const AdsArenaView& arena, SweepPlan& plan, ThreadPool& pool,
+                SweepBuffers& buffers) {
+  const size_t n = arena.num_nodes();
   Counters().nodes->Add(n);
+  auto estimator = [&arena](size_t local) {
+    HipView hip = arena.hip_of_local(local);
+    return HipEstimator(arena.of_local(local), hip.tau, hip.weight);
+  };
   if (!AnyNeedsReduce(plan)) {
-    // Each chunk reuses one scratch: the estimator is consumed by the Map
-    // calls before the next node's scan overwrites the scratch. Chunk
-    // decomposition is static, so scratch reuse cannot change results.
-    if (buffers.chunk_scratch.size() < pool.num_threads()) {
-      buffers.chunk_scratch.resize(pool.num_threads());
-    }
-    pool.ParallelFor(n, [&](size_t begin, size_t end, uint32_t chunk) {
-      HipScratch& scratch = buffers.chunk_scratch[chunk];
+    pool.ParallelFor(n, [&](size_t begin, size_t end, uint32_t) {
       uint64_t chunk_entries = 0;
       for (size_t i = begin; i < end; ++i) {
-        NodeId local = static_cast<NodeId>(i);
-        NodeId v = global_begin + local;
-        chunk_entries += ViewOf(set, local).size();
-        HipEstimator est = MakeEstimator(set, local, &scratch);
+        chunk_entries += arena.of_local(i).size();
+        HipEstimator est = estimator(i);
+        NodeId v = arena.begin + static_cast<NodeId>(i);
         for (SweepCollector* c : plan.collectors()) c->Map(v, est);
       }
       Counters().entries->Add(chunk_entries);
@@ -131,38 +79,22 @@ void SweepArena(const SetT& set, NodeId global_begin, SweepPlan& plan,
   for (size_t block_begin = 0; block_begin < n; block_begin += kSweepBlock) {
     size_t count = std::min(n - block_begin, kSweepBlock);
     if (block.size() < count) block.resize(count);
-    if (buffers.block_scratch.size() < count) {
-      buffers.block_scratch.resize(count);
-    }
     pool.ParallelFor(count, [&](size_t begin, size_t end, uint32_t) {
       uint64_t chunk_entries = 0;
       for (size_t i = begin; i < end; ++i) {
-        NodeId local = static_cast<NodeId>(block_begin + i);
-        NodeId v = global_begin + local;
-        chunk_entries += ViewOf(set, local).size();
-        // A block's estimators stay live until Reduce, so each slot needs
-        // its own scratch (reused across blocks — allocation-free once
-        // warm). Slots are block-indexed, never thread-indexed.
-        block[i] = MakeEstimator(set, local, &buffers.block_scratch[i]);
+        size_t local = block_begin + i;
+        chunk_entries += arena.of_local(local).size();
+        block[i] = estimator(local);
+        NodeId v = arena.begin + static_cast<NodeId>(local);
         for (SweepCollector* c : plan.collectors()) c->Map(v, block[i]);
       }
       Counters().entries->Add(chunk_entries);
     });
     std::span<const HipEstimator> ests(block.data(), count);
     for (SweepCollector* c : plan.collectors()) {
-      c->Reduce(global_begin + static_cast<NodeId>(block_begin), ests);
+      c->Reduce(arena.begin + static_cast<NodeId>(block_begin), ests);
     }
   }
-}
-
-template <typename SetT>
-void RunSweepSingleArena(const SetT& set, SweepPlan& plan,
-                         uint32_t num_threads) {
-  for (SweepCollector* c : plan.collectors()) c->Begin(set.num_nodes());
-  if (plan.empty()) return;
-  ThreadPool pool(num_threads);
-  SweepBuffers buffers;
-  SweepArena(set, /*global_begin=*/0, plan, pool, buffers);
 }
 
 }  // namespace
@@ -399,14 +331,6 @@ SweepPlan& SweepPlan::Add(SweepCollector* collector) {
   return *this;
 }
 
-void RunSweep(const AdsSet& set, SweepPlan& plan, uint32_t num_threads) {
-  RunSweepSingleArena(set, plan, num_threads);
-}
-
-void RunSweep(const FlatAdsSet& set, SweepPlan& plan, uint32_t num_threads) {
-  RunSweepSingleArena(set, plan, num_threads);
-}
-
 Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,
                 const std::function<Status()>& checkpoint) {
   for (SweepCollector* c : plan.collectors()) c->Begin(set.num_nodes());
@@ -420,9 +344,12 @@ Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,
     }
     auto range = set.Range(r);
     if (!range.ok()) return range.status();
+    if (!range.value().has_hip() && range.value().num_entries() > 0) {
+      return Status::InvalidArgument("range " + std::to_string(r) +
+                                     " serves no HIP weights");
+    }
     if (r + 1 < set.NumRanges()) set.Prefetch(r + 1);
-    ArenaSet arena{range.value(), set.flavor(), set.k(), set.ranks()};
-    SweepArena(arena, range.value().begin, plan, pool, buffers);
+    SweepArena(range.value(), plan, pool, buffers);
   }
   return Status::Ok();
 }

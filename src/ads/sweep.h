@@ -5,20 +5,20 @@
 // per-node reduction over the same sketch data: visit each node once,
 // build its HIP estimator, fold a value into a result. Running K such
 // statistics as K separate whole-graph queries costs K backend sweeps
-// (for a sharded set: K reads of every shard file) and K HIP scans per
-// node. This engine fuses them — the operator-fusion idea of columnar
+// (for a sharded set: K reads of every shard file). This engine fuses them — the operator-fusion idea of columnar
 // query engines applied to sketch serving:
 //
 //   SweepPlan  — an ordered list of collectors (the statistics to fuse).
 //   Collector  — a per-node visitor with a node-order-deterministic
 //                reduction (SweepCollector below).
-//   Executor   — RunSweep: ONE pass over any storage (AdsSet, FlatAdsSet,
-//                or any AdsBackend — in-memory, mmap, sharded with
-//                prefetch), constructing each node's HipEstimator ONCE and
-//                feeding every collector from it.
+//   Executor   — RunSweep: ONE pass over any AdsBackend (in-memory, mmap,
+//                sharded with prefetch), wrapping each node's stored HIP
+//                weights in its HipEstimator ONCE and feeding every
+//                collector from it.
 //
-// So K statistics cost one shard sweep and one HIP scan per node instead
-// of K of each. The whole-graph query functions in ads/queries.h are thin
+// So K statistics cost one shard sweep instead of K, and no sweep ever
+// scans: every backend serves precomputed HIP weights (ads/backend.h).
+// The whole-graph query functions in ads/queries.h are thin
 // single-collector plans over this executor; multi-statistic callers (the
 // CLI `stats`/`query` paths, examples/sketch_pipeline) build their own
 // plans.
@@ -52,7 +52,6 @@
 #include "ads/ads.h"
 #include "ads/backend.h"
 #include "ads/estimators.h"
-#include "ads/flat_ads.h"
 #include "util/exact_sum.h"
 #include "util/status.h"
 
@@ -308,18 +307,14 @@ class SweepPlan {
 /// Executes `plan` in one pass over the sketches: every node's
 /// HipEstimator is constructed exactly once and fed to every collector.
 /// `num_threads` = 0 uses the hardware count, 1 runs inline; results are
-/// bitwise identical for every thread count. The single-arena overloads
-/// cannot fail; the AdsBackend overload sweeps the backend's ranges in
-/// node order (one shard file read per shard, whatever plan.size() is),
+/// bitwise identical for every thread count. Sweeps the backend's ranges
+/// in node order (one shard file read per shard, whatever plan.size() is),
 /// emits Prefetch hints between ranges, and fails if a lazy range load
-/// fails — collectors are then left partially filled and must be
-/// discarded. `checkpoint`, when set, is polled before each range; a
+/// fails or a range serves no HIP weights — collectors are then left
+/// partially filled and must be discarded. `checkpoint`, when set, is polled before each range; a
 /// non-ok return aborts the sweep with that status (the serving layer
 /// uses it to shed sweeps whose deadline has already passed instead of
 /// finishing work nobody is waiting for).
-void RunSweep(const AdsSet& set, SweepPlan& plan, uint32_t num_threads = 0);
-void RunSweep(const FlatAdsSet& set, SweepPlan& plan,
-              uint32_t num_threads = 0);
 Status RunSweep(const AdsBackend& set, SweepPlan& plan,
                 uint32_t num_threads = 0,
                 const std::function<Status()>& checkpoint = {});

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -349,6 +350,11 @@ Status WriteFrameVectored(int fd, std::string_view header,
   return Status::Ok();
 }
 
+size_t NextPayloadChunk(size_t have, size_t total) {
+  constexpr size_t kMinChunk = size_t{64} << 10;
+  return std::min(total - have, std::max(have, kMinChunk));
+}
+
 Status ReadFrameInto(int fd, const Deadline& deadline, Frame* out) {
   char raw[kMaxFrameHeaderBytes];
   Status s = ReadExact(fd, raw, kFrameHeaderBytes, deadline);
@@ -365,9 +371,12 @@ Status ReadFrameInto(int fd, const Deadline& deadline, Frame* out) {
   }
   // resize() keeps the string's capacity: a long-lived Frame amortizes its
   // receive buffer across calls instead of allocating per response.
-  out->payload.resize(header.payload_bytes);
-  if (!out->payload.empty()) {
-    s = ReadExact(fd, out->payload.data(), out->payload.size(), deadline);
+  out->payload.clear();
+  while (out->payload.size() < header.payload_bytes) {
+    size_t have = out->payload.size();
+    size_t chunk = NextPayloadChunk(have, header.payload_bytes);
+    out->payload.resize(have + chunk);
+    s = ReadExact(fd, out->payload.data() + have, chunk, deadline);
     if (!s.ok()) return s;
   }
   s = VerifyFramePayload(header, out->payload);

@@ -263,8 +263,16 @@ StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline);
 
 /// ReadFrame into a caller-owned Frame, reusing out->payload's capacity
 /// across calls — the receive-buffer reuse a pipelined channel needs to
-/// avoid one allocation per in-flight response.
+/// avoid one allocation per in-flight response. The buffer grows only as
+/// payload bytes arrive (see NextPayloadChunk).
 Status ReadFrameInto(int fd, const Deadline& deadline, Frame* out);
+
+/// How many bytes to read next into a payload buffer holding `have` of the
+/// header's `total` claimed bytes: at most max(have, 64 KiB), so each step
+/// at most doubles the buffer. A header alone therefore never makes a
+/// reader allocate the length it claims (up to kMaxFramePayload); a peer
+/// must send the bytes to make the buffer grow.
+size_t NextPayloadChunk(size_t have, size_t total);
 
 /// Vectored (writev) write of a frame split as header + payload, retrying
 /// partial writes and EINTR under the deadline. `header` must have been

@@ -65,8 +65,6 @@ struct ServeMetrics {
   MetricCounter* undecodable;
   MetricCounter* shed_deadline;
   MetricCounter* shed_busy;
-  MetricCounter* hip_resident;
-  MetricCounter* hip_scan;
   MetricHistogram* batch_entries;
   MetricCounter* tcp_accepted;
 };
@@ -88,8 +86,6 @@ ServeMetrics& Metrics() {
     mm->undecodable = reg.Counter("serve.undecodable_frames");
     mm->shed_deadline = reg.Counter("serve.shed.deadline");
     mm->shed_busy = reg.Counter("serve.shed.busy");
-    mm->hip_resident = reg.Counter("serve.point.hip_resident");
-    mm->hip_scan = reg.Counter("serve.point.hip_scan");
     mm->batch_entries = reg.Histogram("serve.batch.entries");
     mm->tcp_accepted = reg.Counter("serve.tcp.accepted");
     return mm;
@@ -315,12 +311,10 @@ StatusOr<std::string> AdsServerCore::ComputePoint(
     return backend_->ViewOf(local.value());
   }();
   if (!view.ok()) return view.status();
-  // A HipOf failure is served by the scan fallback instead of erroring:
-  // precomputed weights are an optimization, never an answer change.
-  auto hip_or = backend_->HipOf(local.value());
-  HipView hip = hip_or.ok() ? hip_or.value() : HipView{};
+  auto hip = backend_->HipOf(local.value());
+  if (!hip.ok()) return hip.status();
   std::optional<HipEstimator> est;
-  return ComputePointWithView(msg, view.value(), hip, &est);
+  return ComputePointWithView(msg, view.value(), hip.value(), &est);
 }
 
 StatusOr<std::string> AdsServerCore::ComputePointWithView(
@@ -332,22 +326,12 @@ StatusOr<std::string> AdsServerCore::ComputePointWithView(
   switch (msg.kind) {
     case PointKind::kNodeStats: {
       if (!est->has_value()) {
-        ScopedTraceSpan estimator_span("server.estimator");
-        if (hip.present()) {
-          // Storage-resident weights: materialization is a pointer wrap.
-          Metrics().hip_resident->Add();
-          est->emplace(view, hip.tau, hip.weight);
-        } else {
-          Metrics().hip_scan->Add();
-          // Scan fallback into a per-thread arena — allocation-free once
-          // warm. The estimator borrows the scratch, which is safe for
-          // both request paths: a request's estimator never outlives the
-          // dispatch call that created it, and the batch path resets the
-          // cached estimator before the scratch is scanned again.
-          thread_local HipScratch scratch;
-          est->emplace(view, backend_->k(), backend_->flavor(),
-                       backend_->ranks(), &scratch);
+        if (!hip.present() && !view.empty()) {
+          return Status::InvalidArgument("backend serves no HIP weights");
         }
+        // Storage-resident weights: materialization is a pointer wrap.
+        ScopedTraceSpan estimator_span("server.estimator");
+        est->emplace(view, hip.tau, hip.weight);
       }
       if (std::isinf(msg.d)) {
         response.values = {(*est)->ReachableCount(),
@@ -453,13 +437,14 @@ void AdsServerCore::ComputeBatchEntries(const PointBatchRequestMsg& msg,
       view.reset();
       hip = HipView{};
       auto fetched = backend_->ViewOf(local.value());
-      if (fetched.ok()) {
+      auto fetched_hip = fetched.ok() ? backend_->HipOf(local.value())
+                                      : StatusOr<HipView>(fetched.status());
+      if (fetched_hip.ok()) {
         view = fetched.value();
+        hip = fetched_hip.value();
         view_status = Status::Ok();
-        auto hip_or = backend_->HipOf(local.value());
-        if (hip_or.ok()) hip = hip_or.value();
       } else {
-        view_status = fetched.status();
+        view_status = fetched_hip.status();
       }
       current_node = entry.node;
       have_node = true;
@@ -785,15 +770,20 @@ void TcpServer::ServeConnection(int fd) {
       s = DecodeFrameHeaderExt(raw + kFrameHeaderBytes, ext, &header);
     }
     if (s.ok()) {
-      // Header is sane: the payload length can be trusted enough to read.
-      std::string payload(header.payload_bytes, '\0');
-      if (!payload.empty() &&
-          read_exact(payload.data(), payload.size(), &frame_deadline,
-                     /*at_frame_start=*/false) != 1) {
-        return;
-      }
+      // Header is sane: read the payload straight after it, growing the
+      // buffer only as bytes arrive, so a header that claims a huge
+      // payload and then stalls holds no more memory than was sent.
       request.assign(raw, header_bytes);
-      request.append(payload);
+      size_t have = 0;
+      while (have < header.payload_bytes) {
+        size_t chunk = NextPayloadChunk(have, header.payload_bytes);
+        request.resize(header_bytes + have + chunk);
+        if (read_exact(request.data() + header_bytes + have, chunk,
+                       &frame_deadline, /*at_frame_start=*/false) != 1) {
+          return;
+        }
+        have += chunk;
+      }
     } else {
       // Bad header: hand the raw bytes to the handler so the client gets
       // the precise rejection, then close (framing is lost).

@@ -172,12 +172,10 @@ class AdsServerCore : public FrameHandler {
   /// The actual point computation (lock, if any, held by the caller).
   StatusOr<std::string> ComputePoint(const PointRequestMsg& msg) const;
   /// Point computation against an already-fetched view. `hip` carries the
-  /// node's storage-resident HIP weights when the backend has them
-  /// (estimator materialization is then a pointer wrap); when absent the
-  /// scan fallback runs into a per-thread scratch — both produce byte-
-  /// identical responses. `est` caches the node's HipEstimator across
-  /// consecutive same-node entries of a sorted batch (one materialization
-  /// per distinct node).
+  /// node's HIP weights, which every backend serves (estimator
+  /// materialization is a pointer wrap). `est` caches the node's
+  /// HipEstimator across consecutive same-node entries of a sorted batch
+  /// (one materialization per distinct node).
   StatusOr<std::string> ComputePointWithView(
       const PointRequestMsg& msg, const AdsView& view, const HipView& hip,
       std::optional<HipEstimator>* est) const;

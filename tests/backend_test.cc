@@ -21,6 +21,7 @@
 #include "ads/shard.h"
 #include "ads/similarity.h"
 #include "graph/generators.h"
+#include "hip_oracle.h"
 
 namespace hipads {
 namespace {
@@ -45,25 +46,31 @@ struct ScratchDir {
   std::string path;
 };
 
-// Runs the full whole-graph query battery through the backend surface and
-// checks every result bitwise against the plain FlatAdsSet overloads.
+// Checks the backend's HIP weights against the owning-scan oracle, then
+// runs the full whole-graph query battery through the backend surface and
+// checks every result bitwise against the in-memory arena's.
 void ExpectBitwiseEqualQueries(const AdsBackend& backend,
-                               const FlatAdsSet& reference) {
+                               const FlatAdsSet& reference_set) {
+  EXPECT_TRUE(BackendMatchesScanOracle(backend));
+  FlatAdsBackend reference(&reference_set);
+
   auto harmonic = EstimateHarmonicCentralityAll(backend, 1);
   ASSERT_TRUE(harmonic.ok()) << harmonic.status().ToString();
-  EXPECT_EQ(harmonic.value(), EstimateHarmonicCentralityAll(reference, 1));
+  EXPECT_EQ(harmonic.value(),
+            EstimateHarmonicCentralityAll(reference, 1).value());
 
   auto distsum = EstimateDistanceSumAll(backend, 1);
   ASSERT_TRUE(distsum.ok());
-  EXPECT_EQ(distsum.value(), EstimateDistanceSumAll(reference, 1));
+  EXPECT_EQ(distsum.value(), EstimateDistanceSumAll(reference, 1).value());
 
   auto reach = EstimateReachableCountAll(backend, 1);
   ASSERT_TRUE(reach.ok());
-  EXPECT_EQ(reach.value(), EstimateReachableCountAll(reference, 1));
+  EXPECT_EQ(reach.value(), EstimateReachableCountAll(reference, 1).value());
 
   auto nsize = EstimateNeighborhoodSizeAll(backend, 2.0, 1);
   ASSERT_TRUE(nsize.ok());
-  EXPECT_EQ(nsize.value(), EstimateNeighborhoodSizeAll(reference, 2.0, 1));
+  EXPECT_EQ(nsize.value(),
+            EstimateNeighborhoodSizeAll(reference, 2.0, 1).value());
 
   auto closeness = EstimateClosenessAll(
       backend, [](double d) { return 1.0 / (1.0 + d); },
@@ -72,23 +79,24 @@ void ExpectBitwiseEqualQueries(const AdsBackend& backend,
   EXPECT_EQ(closeness.value(),
             EstimateClosenessAll(
                 reference, [](double d) { return 1.0 / (1.0 + d); },
-                [](NodeId v) { return v % 2 == 0 ? 1.0 : 0.5; }, 1));
+                [](NodeId v) { return v % 2 == 0 ? 1.0 : 0.5; }, 1)
+                .value());
 
   auto dd = EstimateDistanceDistribution(backend, 1);
   ASSERT_TRUE(dd.ok());
-  EXPECT_EQ(dd.value(), EstimateDistanceDistribution(reference, 1));
+  EXPECT_EQ(dd.value(), EstimateDistanceDistribution(reference, 1).value());
 
   auto nf = EstimateNeighborhoodFunction(backend, 1);
   ASSERT_TRUE(nf.ok());
-  EXPECT_EQ(nf.value(), EstimateNeighborhoodFunction(reference, 1));
+  EXPECT_EQ(nf.value(), EstimateNeighborhoodFunction(reference, 1).value());
 
   auto eff = EstimateEffectiveDiameter(backend);
   ASSERT_TRUE(eff.ok());
-  EXPECT_EQ(eff.value(), EstimateEffectiveDiameter(reference));
+  EXPECT_EQ(eff.value(), EstimateEffectiveDiameter(reference).value());
 
   auto mean = EstimateMeanDistance(backend);
   ASSERT_TRUE(mean.ok());
-  EXPECT_EQ(mean.value(), EstimateMeanDistance(reference));
+  EXPECT_EQ(mean.value(), EstimateMeanDistance(reference).value());
 }
 
 TEST(BackendTest, FlatBackendMatchesReference) {
@@ -230,7 +238,8 @@ TEST(BackendTest, PrefetchSweepsAreDeterministic) {
   std::string shard_dir = dir.file("shards");
   ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 6).ok());
 
-  std::vector<double> reference = EstimateHarmonicCentralityAll(set, 1);
+  std::vector<double> reference =
+      EstimateHarmonicCentralityAll(FlatAdsBackend(&set), 1).value();
   for (bool use_mmap : {false, true}) {
     ShardedOptions options;
     options.max_resident = 2;
@@ -350,14 +359,15 @@ TEST(BackendTest, NodeIndexMatchesLinearLookups) {
   }
 }
 
-// --- storage-resident HIP weights through the backend surface --------------
+// --- HIP weights through the backend surface --------------------------------
 
 // Every node's HipOf must hand back exactly the reference set's aligned
-// arrays, and an estimator wrapped around them must answer every query
-// bitwise identically to a fresh scan of the same view.
+// arrays (the weights a HIP section stores), and those must match the
+// owning-scan oracle bitwise.
 void ExpectHipMatchesReference(const AdsBackend& backend,
                                const FlatAdsSet& reference) {
   ASSERT_TRUE(reference.has_hip());
+  EXPECT_TRUE(BackendMatchesScanOracle(backend));
   for (NodeId v = 0; v < reference.num_nodes(); ++v) {
     auto hip = backend.HipOf(v);
     ASSERT_TRUE(hip.ok()) << hip.status().ToString();
@@ -371,42 +381,50 @@ void ExpectHipMatchesReference(const AdsBackend& backend,
       EXPECT_EQ(hip.value().weight[i], reference.hip_weight[off + i])
           << "node " << v;
     }
-    HipEstimator pre(view.value(), hip.value().tau, hip.value().weight);
-    HipEstimator scan(view.value(), backend.k(), backend.flavor(),
-                      backend.ranks());
-    EXPECT_EQ(pre.ReachableCount(), scan.ReachableCount()) << "node " << v;
-    EXPECT_EQ(pre.HarmonicCentrality(), scan.HarmonicCentrality());
-    EXPECT_EQ(pre.NeighborhoodCardinality(2.0),
-              scan.NeighborhoodCardinality(2.0));
-    EXPECT_EQ(pre.DistanceQuantile(0.5), scan.DistanceQuantile(0.5));
   }
 }
 
-TEST(BackendTest, HipAbsentWithoutStoredSection) {
+// A store without the HIP section gets its weights computed at open, by
+// every engine: they equal the weights a section would have stored.
+TEST(BackendTest, HipComputedAtOpenWithoutStoredSection) {
   FlatAdsSet set = BuildFlat(90, 43, 4);
+  FlatAdsSet stored = set;
+  PrecomputeHipWeights(&stored, 1);
   ScratchDir dir("hipads_backend_test_hip_absent");
   std::string path = dir.file("set.ads2");
+  std::string text_path = dir.file("set.ads");
   std::string shard_dir = dir.file("shards");
   ASSERT_TRUE(WriteAdsSetFile(set, path, AdsFileFormat::kBinaryV2).ok());
+  ASSERT_TRUE(WriteAdsSetFile(set, text_path, AdsFileFormat::kTextV1).ok());
   ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 3).ok());
 
-  FlatAdsBackend flat(&set);
+  FlatAdsBackend aliased(&set);
+  FlatAdsBackend owned(set);
+  EXPECT_FALSE(set.has_hip());  // the aliased set is left untouched
   auto mapped = MmapAdsSet::Open(path);
   ASSERT_TRUE(mapped.ok());
-  auto sharded = ShardedAdsSet::Open(shard_dir, ShardedOptions{});
-  ASSERT_TRUE(sharded.ok());
-  for (const AdsBackend* backend :
-       {static_cast<const AdsBackend*>(&flat),
-        static_cast<const AdsBackend*>(&mapped.value()),
-        static_cast<const AdsBackend*>(&sharded.value())}) {
-    EXPECT_FALSE(backend->HipResident());
-    auto hip = backend->HipOf(0);
-    ASSERT_TRUE(hip.ok());
-    EXPECT_FALSE(hip.value().present());
-    auto range = backend->Range(0);
-    ASSERT_TRUE(range.ok());
-    EXPECT_FALSE(range.value().has_hip());
-    EXPECT_FALSE(range.value().hip_of_local(0).present());
+  EXPECT_TRUE(mapped.value().zero_copy());
+  auto text = MmapAdsSet::Open(text_path);
+  ASSERT_TRUE(text.ok());
+  EXPECT_FALSE(text.value().zero_copy());  // the copying fallback
+  std::vector<const AdsBackend*> engines = {&aliased, &owned, &mapped.value(),
+                                            &text.value()};
+  std::vector<ShardedAdsSet> sharded;
+  for (bool use_mmap : {false, true}) {
+    ShardedOptions options;
+    options.use_mmap = use_mmap;
+    auto opened = ShardedAdsSet::Open(shard_dir, options);
+    ASSERT_TRUE(opened.ok());
+    sharded.push_back(std::move(opened).value());
+  }
+  for (const ShardedAdsSet& s : sharded) engines.push_back(&s);
+  for (const AdsBackend* backend : engines) {
+    ExpectHipMatchesReference(*backend, stored);
+    for (uint32_t r = 0; r < backend->NumRanges(); ++r) {
+      auto range = backend->Range(r);
+      ASSERT_TRUE(range.ok());
+      EXPECT_TRUE(range.value().has_hip());
+    }
   }
 }
 
@@ -420,13 +438,11 @@ TEST(BackendTest, EveryEngineServesStoredHipWeights) {
   ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 4).ok());
 
   FlatAdsBackend flat(&set);
-  EXPECT_TRUE(flat.HipResident());
   ExpectHipMatchesReference(flat, set);
 
   auto mapped = MmapAdsSet::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped.value().zero_copy());  // hip section mmap-served
-  EXPECT_TRUE(mapped.value().HipResident());
   ExpectHipMatchesReference(mapped.value(), set);
 
   for (bool use_mmap : {false, true}) {
@@ -435,7 +451,6 @@ TEST(BackendTest, EveryEngineServesStoredHipWeights) {
     auto sharded = ShardedAdsSet::Open(shard_dir, options);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
     EXPECT_TRUE(sharded.value().ValidateFiles().ok());  // hip-sized shards
-    EXPECT_TRUE(sharded.value().HipResident()) << "mmap=" << use_mmap;
     ExpectHipMatchesReference(sharded.value(), set);
     // Range views carry the hip arrays with range-local indexing.
     auto range = sharded.value().Range(1);
@@ -447,7 +462,7 @@ TEST(BackendTest, EveryEngineServesStoredHipWeights) {
   }
 }
 
-TEST(BackendTest, MixedShardedSetServesResidentShardsAndScansTheRest) {
+TEST(BackendTest, MixedShardedSetServesStoredShardsAndComputesTheRest) {
   FlatAdsSet set = BuildFlat(160, 53, 4);
   PrecomputeHipWeights(&set, 1);
   ScratchDir dir("hipads_backend_test_hip_mixed");
@@ -465,34 +480,37 @@ TEST(BackendTest, MixedShardedSetServesResidentShardsAndScansTheRest) {
   ASSERT_TRUE(
       WriteAdsSetFile(loaded.value(), victim, AdsFileFormat::kBinaryV2).ok());
 
-  ShardedOptions options;
-  options.max_resident = 2;
-  auto opened = ShardedAdsSet::Open(shard_dir, options);
-  ASSERT_TRUE(opened.ok());
-  const ShardedAdsSet& sharded = opened.value();
-  EXPECT_TRUE(sharded.ValidateFiles().ok());  // both sizes are legal
-  EXPECT_FALSE(sharded.HipResident());        // not EVERY shard has it
-  uint32_t present = 0, absent = 0;
-  for (NodeId v = 0; v < set.num_nodes(); ++v) {
-    auto hip = sharded.HipOf(v);
-    ASSERT_TRUE(hip.ok());
-    if (!hip.value().present()) {
-      EXPECT_EQ(sharded.ShardOf(v), 1u) << "node " << v;
-      ++absent;
-      continue;
-    }
-    ++present;
-    auto view = sharded.ViewOf(v);
-    ASSERT_TRUE(view.ok());
-    const uint64_t off = set.offsets[v];
-    for (size_t i = 0; i < view.value().size(); ++i) {
-      EXPECT_EQ(hip.value().tau[i], set.hip_tau[off + i]) << "node " << v;
-    }
+  for (bool use_mmap : {false, true}) {
+    ShardedOptions options;
+    options.max_resident = 2;
+    options.use_mmap = use_mmap;
+    auto opened = ShardedAdsSet::Open(shard_dir, options);
+    ASSERT_TRUE(opened.ok());
+    const ShardedAdsSet& sharded = opened.value();
+    EXPECT_TRUE(sharded.ValidateFiles().ok());  // both sizes are legal
+    // Shard 1's weights, computed at load, equal the stored ones the
+    // other shards serve from their files.
+    ExpectHipMatchesReference(sharded, set);
+    // Whole-graph answers are unaffected by the mix.
+    ExpectBitwiseEqualQueries(sharded, set);
   }
-  EXPECT_GT(present, 0u);
-  EXPECT_GT(absent, 0u);
-  // Whole-graph answers are unaffected by the mix.
-  ExpectBitwiseEqualQueries(sharded, set);
+}
+
+// HIP does not apply to permutation ranks (the permutation estimator
+// does), so an in-memory set built with them serves no weights, and a
+// sweep fails cleanly instead of estimating from absent weights.
+TEST(BackendTest, PermutationRankSetServesNoHipWeights) {
+  Graph g = ErdosRenyi(40, 120, true, 61);
+  std::vector<uint32_t> perm(g.num_nodes());
+  for (uint32_t i = 0; i < perm.size(); ++i) perm[i] = (i * 7) % 40;
+  FlatAdsBackend backend(FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+      g, 4, SketchFlavor::kBottomK, RankAssignment::Permutation(perm))));
+  auto hip = backend.HipOf(0);
+  ASSERT_TRUE(hip.ok());
+  EXPECT_FALSE(hip.value().present());
+  auto swept = EstimateHarmonicCentralityAll(backend, 1);
+  ASSERT_FALSE(swept.ok());
+  EXPECT_EQ(swept.status().code(), Status::Code::kInvalidArgument);
 }
 
 TEST(BackendTest, SimilarityOverBackendViewsMatchesAdsOverloads) {

@@ -112,7 +112,8 @@ TEST(IntegrationTest, NeighborhoodFunctionTracksExactOnGrid) {
   for (uint64_t seed = 0; seed < 25; ++seed) {
     AdsSet set = BuildAdsDp(g, 12, SketchFlavor::kBottomK,
                             RankAssignment::Uniform(seed));
-    auto nf = EstimateNeighborhoodFunction(set);
+    FlatAdsBackend backend(FlatAdsSet::FromAdsSet(set));
+    auto nf = EstimateNeighborhoodFunction(backend).value();
     double running = 0.0;
     auto it = nf.begin();
     for (const auto& [d, cnt] : exact_hist) {

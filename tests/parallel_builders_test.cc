@@ -249,25 +249,30 @@ TEST(FlatAdsSetTest, QueriesMatchPerNodeStorage) {
   auto ranks = RankAssignment::Uniform(2);
   AdsSet set = BuildAdsPrunedDijkstra(g, 6, SketchFlavor::kBottomK, ranks);
   FlatAdsSet flat = FlatAdsSet::FromAdsSet(set);
+  FlatAdsBackend set_backend(FlatAdsSet::FromAdsSet(set));
+  FlatAdsBackend flat_backend(&flat);
 
   for (uint32_t threads : {1u, 4u}) {
-    EXPECT_EQ(EstimateNeighborhoodFunction(set, threads),
-              EstimateNeighborhoodFunction(flat, threads))
+    EXPECT_EQ(EstimateNeighborhoodFunction(set_backend, threads).value(),
+              EstimateNeighborhoodFunction(flat_backend, threads).value())
         << threads << " threads";
-    EXPECT_EQ(EstimateHarmonicCentralityAll(set, threads),
-              EstimateHarmonicCentralityAll(flat, threads));
-    EXPECT_EQ(EstimateDistanceSumAll(set, threads),
-              EstimateDistanceSumAll(flat, threads));
-    EXPECT_EQ(EstimateNeighborhoodSizeAll(set, 3.0, threads),
-              EstimateNeighborhoodSizeAll(flat, 3.0, threads));
-    EXPECT_EQ(EstimateReachableCountAll(set, threads),
-              EstimateReachableCountAll(flat, threads));
+    EXPECT_EQ(EstimateHarmonicCentralityAll(set_backend, threads).value(),
+              EstimateHarmonicCentralityAll(flat_backend, threads).value());
+    EXPECT_EQ(EstimateDistanceSumAll(set_backend, threads).value(),
+              EstimateDistanceSumAll(flat_backend, threads).value());
+    EXPECT_EQ(
+        EstimateNeighborhoodSizeAll(set_backend, 3.0, threads).value(),
+        EstimateNeighborhoodSizeAll(flat_backend, 3.0, threads).value());
+    EXPECT_EQ(EstimateReachableCountAll(set_backend, threads).value(),
+              EstimateReachableCountAll(flat_backend, threads).value());
   }
   // Thread count must not change any result, bitwise.
-  EXPECT_EQ(EstimateNeighborhoodFunction(flat, 1),
-            EstimateNeighborhoodFunction(flat, 8));
-  EXPECT_EQ(EstimateEffectiveDiameter(set), EstimateEffectiveDiameter(flat));
-  EXPECT_EQ(EstimateMeanDistance(set), EstimateMeanDistance(flat));
+  EXPECT_EQ(EstimateNeighborhoodFunction(flat_backend, 1).value(),
+            EstimateNeighborhoodFunction(flat_backend, 8).value());
+  EXPECT_EQ(EstimateEffectiveDiameter(set_backend).value(),
+            EstimateEffectiveDiameter(flat_backend).value());
+  EXPECT_EQ(EstimateMeanDistance(set_backend).value(),
+            EstimateMeanDistance(flat_backend).value());
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {

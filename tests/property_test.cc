@@ -18,6 +18,7 @@
 #include "ads/shard.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
+#include "hip_oracle.h"
 
 namespace hipads {
 namespace {
@@ -301,12 +302,15 @@ TEST_P(AdsPropertyTest, IsolatedNodesSketchOnlyThemselves) {
 }
 
 TEST_P(AdsPropertyTest, ResidentHipSurvivesStorageBitwiseForEveryRankKind) {
-  // The storage contract of the precomputed HIP section, across random
-  // sketches and every servable rank kind (including the weighted
+  // The HIP contract of every serving engine, across random sketches, every
+  // flavor and every servable rank kind (including the weighted
   // exponential/priority ranks, whose beta must round-trip consistently):
-  // weights written once, mmapped back and served — from a plain file and
-  // from a sharded directory with a hip-less shard mixed in — are bitwise
-  // equal to a fresh per-node scan of the same sketch.
+  // weights stored in a file's HIP section, and weights computed when an
+  // engine opens a file without one, both reproduce the owning-scan oracle
+  // bitwise. Inputs: a v2 file with and without the section, a v1 text
+  // file (the mmap engine's copying fallback), and shard directories where
+  // every shard, no shard, or all but one shard carries the section; each
+  // opened by the copying and the mmap engines.
   const PropertyCase& c = GetParam();
   Graph g = MakeGraph(c);
   auto beta = [](uint64_t v) { return 0.5 + static_cast<double>(v % 5) * 0.4; };
@@ -316,69 +320,64 @@ TEST_P(AdsPropertyTest, ResidentHipSurvivesStorageBitwiseForEveryRankKind) {
   };
   const RankCase rank_cases[] = {
       {"uniform", RankAssignment::Uniform(c.seed)},
+      {"base-b", RankAssignment::BaseB(c.seed, 2.0)},
       {"exponential", RankAssignment::Exponential(c.seed, beta)},
       {"priority", RankAssignment::Priority(c.seed, beta)},
   };
-  for (const RankCase& rc : rank_cases) {
-    FlatAdsSet set = FlatAdsSet::FromAdsSet(
-        BuildAdsPrunedDijkstra(g, c.k, SketchFlavor::kBottomK, rc.ranks));
-    PrecomputeHipWeights(&set, 2);
+  for (SketchFlavor flavor : {SketchFlavor::kBottomK, SketchFlavor::kKMins,
+                              SketchFlavor::kKPartition}) {
+    for (const RankCase& rc : rank_cases) {
+      const std::string label = std::string(rc.name) + " flavor " +
+                                std::to_string(static_cast<int>(flavor));
+      FlatAdsSet plain = FlatAdsSet::FromAdsSet(
+          BuildAdsPrunedDijkstra(g, c.k, flavor, rc.ranks));
+      FlatAdsSet stored = plain;
+      PrecomputeHipWeights(&stored, 2);
 
-    ScratchDir dir(std::string("hipads_property_test_hip_") + rc.name + "_" +
-                   std::to_string(c.seed) + "_" + std::to_string(c.graph_kind));
-    std::string path = dir.file("set.ads2");
-    std::string shard_dir = dir.file("shards");
-    ASSERT_TRUE(WriteAdsSetFile(set, path, AdsFileFormat::kBinaryV2).ok());
-    ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 3).ok());
-    // Strip one shard's section: the mixed set must still serve the rest.
-    std::string victim =
-        (std::filesystem::path(shard_dir) / "shard-00002.ads2").string();
-    auto loaded = ReadFlatAdsSetFile(victim, beta);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    loaded.value().hip_tau.clear();
-    loaded.value().hip_weight.clear();
-    ASSERT_TRUE(
-        WriteAdsSetFile(loaded.value(), victim, AdsFileFormat::kBinaryV2)
-            .ok());
+      ScratchDir dir(std::string("hipads_property_test_hip_") + rc.name +
+                     "_" + std::to_string(static_cast<int>(flavor)) + "_" +
+                     std::to_string(c.seed) + "_" +
+                     std::to_string(c.graph_kind));
+      const std::string inputs[] = {
+          dir.file("stored.ads2"), dir.file("plain.ads2"),
+          dir.file("plain.ads"),   dir.file("shards_stored"),
+          dir.file("shards_plain"), dir.file("shards_mixed"),
+      };
+      ASSERT_TRUE(
+          WriteAdsSetFile(stored, inputs[0], AdsFileFormat::kBinaryV2).ok());
+      ASSERT_TRUE(
+          WriteAdsSetFile(plain, inputs[1], AdsFileFormat::kBinaryV2).ok());
+      ASSERT_TRUE(
+          WriteAdsSetFile(plain, inputs[2], AdsFileFormat::kTextV1).ok());
+      ASSERT_TRUE(WriteShardedAdsSet(stored, inputs[3], 3).ok());
+      ASSERT_TRUE(WriteShardedAdsSet(plain, inputs[4], 3).ok());
+      ASSERT_TRUE(WriteShardedAdsSet(stored, inputs[5], 3).ok());
+      // Strip one shard's section: the mixed set computes that shard's
+      // weights at load and serves the rest from their files.
+      std::string victim =
+          (std::filesystem::path(inputs[5]) / "shard-00002.ads2").string();
+      auto loaded = ReadFlatAdsSetFile(victim, beta);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_TRUE(loaded.value().has_hip());
+      loaded.value().hip_tau.clear();
+      loaded.value().hip_weight.clear();
+      ASSERT_TRUE(
+          WriteAdsSetFile(loaded.value(), victim, AdsFileFormat::kBinaryV2)
+              .ok());
 
-    auto mapped = MmapAdsSet::Open(path, beta);
-    ASSERT_TRUE(mapped.ok()) << rc.name << ": " << mapped.status().ToString();
-    ASSERT_TRUE(mapped.value().HipResident()) << rc.name;
-    ShardedOptions options;
-    options.beta = beta;
-    options.max_resident = 2;
-    options.use_mmap = true;
-    auto sharded = ShardedAdsSet::Open(shard_dir, options);
-    ASSERT_TRUE(sharded.ok()) << rc.name << ": "
-                              << sharded.status().ToString();
-    EXPECT_FALSE(sharded.value().HipResident()) << rc.name;  // mixed
-
-    HipScratch scratch;
-    std::vector<double> tau, weight;
-    for (NodeId v = 0; v < set.num_nodes(); ++v) {
-      AdsView ads = set.of(v);
-      tau.assign(ads.size(), -1.0);
-      weight.assign(ads.size(), -1.0);
-      ComputeHipWeightsAligned(ads, c.k, SketchFlavor::kBottomK, rc.ranks,
-                               &scratch, tau.data(), weight.data());
-      auto from_map = mapped.value().HipOf(v);
-      ASSERT_TRUE(from_map.ok());
-      ASSERT_TRUE(from_map.value().present()) << rc.name << " v=" << v;
-      auto from_shards = sharded.value().HipOf(v);
-      ASSERT_TRUE(from_shards.ok());
-      const bool stripped = sharded.value().ShardOf(v) == 2;
-      EXPECT_EQ(from_shards.value().present(), !stripped)
-          << rc.name << " v=" << v;
-      for (size_t i = 0; i < ads.size(); ++i) {
-        EXPECT_EQ(from_map.value().tau[i], tau[i])
-            << rc.name << " v=" << v << " i=" << i;
-        EXPECT_EQ(from_map.value().weight[i], weight[i])
-            << rc.name << " v=" << v << " i=" << i;
-        if (!stripped) {
-          EXPECT_EQ(from_shards.value().tau[i], tau[i])
-              << rc.name << " v=" << v << " i=" << i;
-          EXPECT_EQ(from_shards.value().weight[i], weight[i])
-              << rc.name << " v=" << v << " i=" << i;
+      for (const std::string& input : inputs) {
+        for (BackendMode mode : {BackendMode::kCopy, BackendMode::kMmap}) {
+          AdsBackendOptions options;
+          options.mode = mode;
+          options.beta = beta;
+          options.max_resident = 2;
+          auto backend = OpenAdsBackend(input, options);
+          ASSERT_TRUE(backend.ok())
+              << label << " " << input << ": "
+              << backend.status().ToString();
+          EXPECT_TRUE(BackendMatchesScanOracle(*backend.value()))
+              << label << " " << input << " mmap="
+              << (mode == BackendMode::kMmap);
         }
       }
     }

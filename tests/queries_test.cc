@@ -10,6 +10,12 @@
 namespace hipads {
 namespace {
 
+// Whole-graph queries run over a backend; the in-memory one wraps a
+// flattened copy of the built set.
+FlatAdsBackend Backend(const AdsSet& set) {
+  return FlatAdsBackend(FlatAdsSet::FromAdsSet(set));
+}
+
 TEST(QueriesTest, DistanceDistributionUnbiasedOnCycle) {
   Graph g = Cycle(40);
   auto exact = ExactDistanceDistribution(g);
@@ -18,7 +24,7 @@ TEST(QueriesTest, DistanceDistributionUnbiasedOnCycle) {
   for (uint64_t seed = 0; seed < 40; ++seed) {
     AdsSet set = BuildAdsPrunedDijkstra(g, k, SketchFlavor::kBottomK,
                                         RankAssignment::Uniform(seed));
-    auto est = EstimateDistanceDistribution(set);
+    auto est = EstimateDistanceDistribution(Backend(set)).value();
     for (const auto& [d, count] : exact) {
       auto it = est.find(d);
       sums[d].Add(it == est.end() ? 0.0 : it->second);
@@ -34,8 +40,8 @@ TEST(QueriesTest, NeighborhoodFunctionIsRunningSum) {
   Graph g = ErdosRenyi(60, 200, true, 3);
   AdsSet set = BuildAdsPrunedDijkstra(g, 4, SketchFlavor::kBottomK,
                                       RankAssignment::Uniform(1));
-  auto dist = EstimateDistanceDistribution(set);
-  auto nf = EstimateNeighborhoodFunction(set);
+  auto dist = EstimateDistanceDistribution(Backend(set)).value();
+  auto nf = EstimateNeighborhoodFunction(Backend(set)).value();
   double running = 0.0;
   for (const auto& [d, v] : dist) {
     running += v;
@@ -52,8 +58,8 @@ TEST(QueriesTest, ClosenessAllSizesAndAccuracy) {
     AdsSet set = BuildAdsPrunedDijkstra(g, k, SketchFlavor::kBottomK,
                                         RankAssignment::Uniform(seed));
     auto est = EstimateClosenessAll(
-        set, [](double d) { return 1.0 / (1.0 + d); },
-        [](NodeId) { return 1.0; });
+        Backend(set), [](double d) { return 1.0 / (1.0 + d); },
+        [](NodeId) { return 1.0; }).value();
     ASSERT_EQ(est.size(), g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) acc[v].Add(est[v]);
   }
@@ -69,8 +75,8 @@ TEST(QueriesTest, HarmonicAndDistanceSumAll) {
   Graph g = ErdosRenyi(80, 240, true, 13);
   AdsSet set = BuildAdsPrunedDijkstra(g, 16, SketchFlavor::kBottomK,
                                       RankAssignment::Uniform(5));
-  auto harm = EstimateHarmonicCentralityAll(set);
-  auto ds = EstimateDistanceSumAll(set);
+  auto harm = EstimateHarmonicCentralityAll(Backend(set)).value();
+  auto ds = EstimateDistanceSumAll(Backend(set)).value();
   ASSERT_EQ(harm.size(), g.num_nodes());
   ASSERT_EQ(ds.size(), g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -83,7 +89,7 @@ TEST(QueriesTest, NeighborhoodSizeAllExactBelowK) {
   Graph g = Path(20);
   AdsSet set = BuildAdsPrunedDijkstra(g, 8, SketchFlavor::kBottomK,
                                       RankAssignment::Uniform(7));
-  auto sizes = EstimateNeighborhoodSizeAll(set, 2.0);
+  auto sizes = EstimateNeighborhoodSizeAll(Backend(set), 2.0).value();
   for (NodeId v = 2; v < 18; ++v) {
     EXPECT_EQ(sizes[v], 5.0);  // exact: 5 nodes within distance 2 (< k)
   }
@@ -112,18 +118,20 @@ TEST(QueriesTest, EffectiveDiameterOnPath) {
   AdsSet star_set = BuildAdsPrunedDijkstra(Star(40), 16,
                                            SketchFlavor::kBottomK,
                                            RankAssignment::Uniform(3));
-  EXPECT_GT(EstimateEffectiveDiameter(path_set, 0.9), 15.0);
-  EXPECT_EQ(EstimateEffectiveDiameter(star_set, 0.9), 2.0);
+  EXPECT_GT(EstimateEffectiveDiameter(Backend(path_set), 0.9).value(),
+            15.0);
+  EXPECT_EQ(EstimateEffectiveDiameter(Backend(star_set), 0.9).value(),
+            2.0);
 }
 
 TEST(QueriesTest, EffectiveDiameterMonotoneInQuantile) {
   Graph g = BarabasiAlbert(300, 2, 5);
   AdsSet set = BuildAdsDp(g, 16, SketchFlavor::kBottomK,
                           RankAssignment::Uniform(7));
-  EXPECT_LE(EstimateEffectiveDiameter(set, 0.5),
-            EstimateEffectiveDiameter(set, 0.9));
-  EXPECT_LE(EstimateEffectiveDiameter(set, 0.9),
-            EstimateEffectiveDiameter(set, 1.0));
+  EXPECT_LE(EstimateEffectiveDiameter(Backend(set), 0.5).value(),
+            EstimateEffectiveDiameter(Backend(set), 0.9).value());
+  EXPECT_LE(EstimateEffectiveDiameter(Backend(set), 0.9).value(),
+            EstimateEffectiveDiameter(Backend(set), 1.0).value());
 }
 
 TEST(QueriesTest, MeanDistanceOnCompleteGraph) {
@@ -131,7 +139,7 @@ TEST(QueriesTest, MeanDistanceOnCompleteGraph) {
   AdsSet set = BuildAdsPrunedDijkstra(Complete(30), 8,
                                       SketchFlavor::kBottomK,
                                       RankAssignment::Uniform(9));
-  EXPECT_DOUBLE_EQ(EstimateMeanDistance(set), 1.0);
+  EXPECT_DOUBLE_EQ(EstimateMeanDistance(Backend(set)).value(), 1.0);
 }
 
 TEST(QueriesTest, MeanDistanceTracksExactOnCycle) {
@@ -143,7 +151,7 @@ TEST(QueriesTest, MeanDistanceTracksExactOnCycle) {
   for (uint64_t seed = 0; seed < 30; ++seed) {
     AdsSet set = BuildAdsPrunedDijkstra(g, 8, SketchFlavor::kBottomK,
                                         RankAssignment::Uniform(seed));
-    est.Add(EstimateMeanDistance(set));
+    est.Add(EstimateMeanDistance(Backend(set)).value());
   }
   EXPECT_NEAR(est.mean() / exact, 1.0, 0.05);
 }
@@ -152,7 +160,7 @@ TEST(QueriesTest, TopClosenessFindsStarCenter) {
   Graph g = Star(100);
   AdsSet set = BuildAdsPrunedDijkstra(g, 16, SketchFlavor::kBottomK,
                                       RankAssignment::Uniform(21));
-  auto harm = EstimateHarmonicCentralityAll(set);
+  auto harm = EstimateHarmonicCentralityAll(Backend(set)).value();
   EXPECT_EQ(TopKNodes(harm, 1)[0], 0u);  // the hub
 }
 

@@ -13,8 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -639,6 +646,86 @@ TEST(ServeFaultTest, KilledTcpServerFailsClosedThenRecovers) {
   }
   server_hi2.Stop();
   server_lo.Stop();
+}
+
+// A frame header that claims a payload far larger than the peer ever
+// sends: the claimed length is bounded (kMaxFramePayload) but must not be
+// allocated up front. `claimed` replaces the header's payload length; the
+// checksum no longer matches, which nothing reaches before the payload.
+std::string HeaderClaiming(uint64_t claimed) {
+  std::string header = EncodeFrameHeader(MessageType::kInfoRequest, "");
+  constexpr size_t kPayloadLengthOffset = 16;  // magic, version, type
+  std::memcpy(header.data() + kPayloadLengthOffset, &claimed,
+              sizeof(claimed));
+  return header;
+}
+
+// Client side: a header alone must not make ReadFrameInto size the
+// receive buffer to its claim — a pipelined channel keeps that buffer's
+// capacity for the connection's lifetime.
+TEST(ServeFaultTest, HeaderClaimingHugePayloadDoesNotGrowTheReadBuffer) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string bytes = HeaderClaiming(uint64_t{64} << 20) + "abc";
+  ASSERT_EQ(::write(fds[0], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[0]);  // EOF after a few payload bytes
+  Frame frame;
+  Status read = ReadFrameInto(fds[1], Deadline(), &frame);
+  ::close(fds[1]);
+  EXPECT_FALSE(read.ok());
+  EXPECT_EQ(read.code(), Status::Code::kIOError) << read.ToString();
+  EXPECT_LE(frame.payload.capacity(), size_t{1} << 20);
+}
+
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t pages = 0, resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+class NullHandler : public FrameHandler {
+ public:
+  std::string HandleFrame(std::string_view, bool* close_connection) override {
+    *close_connection = true;
+    return "";
+  }
+};
+
+// Server side: a peer that sends one such header and then stalls holds
+// no more server memory than it sent.
+TEST(ServeFaultTest, StalledHugeFrameHeaderHoldsNoServerMemory) {
+  if (ResidentBytes() == 0) GTEST_SKIP() << "no /proc/self/statm";
+  NullHandler handler;
+  TcpServer server(&handler, TcpServerOptions{0, 2});
+  ASSERT_TRUE(server.Start().ok());
+  const uint64_t before = ResidentBytes();
+
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  constexpr uint64_t kClaimed = uint64_t{128} << 20;
+  constexpr uint64_t kBound = uint64_t{32} << 20;
+  std::string bytes = HeaderClaiming(kClaimed) + "abc";
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  // Give the worker time to read the header; stop early once it has
+  // demonstrably allocated the claim.
+  uint64_t grown = 0;
+  for (int i = 0; i < 50 && grown <= kBound; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const uint64_t now = ResidentBytes();
+    grown = now > before ? now - before : 0;
+  }
+  ::close(fd);
+  server.Stop();
+  EXPECT_LE(grown, kBound) << "server RSS grew by " << grown << " bytes";
 }
 
 // The lock-free serving contract (tsan): an immutable backend serves

@@ -37,6 +37,7 @@
 #include "ads/shard.h"
 #include "ads/similarity.h"
 #include "graph/generators.h"
+#include "hip_oracle.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -584,42 +585,48 @@ TEST(ServeTest, PointBatchMatchesSingleCallsBitwise) {
   EXPECT_TRUE(empty.value().empty());
 }
 
-// HIP-resident storage is invisible on the wire: a fleet whose every
-// server carries the precomputed section answers sweeps, lone points and
-// batches with bytes identical to a fleet that scans every estimator.
-TEST(ServeTest, ResidentHipFleetMatchesScanFleetByteForByte) {
+// Where the HIP weights come from is invisible on the wire: a fleet whose
+// every server file carries the stored section answers sweeps, lone points
+// and batches with bytes identical to a fleet whose servers computed the
+// weights at open, and both match the owning-scan oracle.
+TEST(ServeTest, StoredHipFleetMatchesComputedHipFleetByteForByte) {
   FlatAdsSet full = BuildFlat(180, 29, 8);
   const std::vector<NodeId> splits = {0, 60, 120, 180};
   const std::vector<Engine> engines = {Engine::kCopy, Engine::kMmap,
                                        Engine::kSharded};
-  ScratchDir scan_dir("hipads_serve_test_hip_scan");
-  ScratchDir hip_dir("hipads_serve_test_hip_resident");
-  LoopbackFleet scan = MakeFleet(full, splits, engines, scan_dir, 2, false);
-  LoopbackFleet hip = MakeFleet(full, splits, engines, hip_dir, 2, true);
-  for (const RangeServer& server : hip.servers) {
-    EXPECT_TRUE(server.backend->HipResident());
+  ScratchDir computed_dir("hipads_serve_test_hip_computed");
+  ScratchDir stored_dir("hipads_serve_test_hip_stored");
+  LoopbackFleet computed =
+      MakeFleet(full, splits, engines, computed_dir, 2, false);
+  LoopbackFleet stored = MakeFleet(full, splits, engines, stored_dir, 2, true);
+  for (const LoopbackFleet* fleet : {&stored, &computed}) {
+    for (const RangeServer& server : fleet->servers) {
+      EXPECT_TRUE(BackendMatchesScanOracle(*server.backend));
+    }
   }
-  for (const RangeServer& server : scan.servers) {
-    EXPECT_FALSE(server.backend->HipResident());
-  }
-  auto scan_router = FleetRouter::Connect(scan.manifest, scan.Factory());
-  auto hip_router = FleetRouter::Connect(hip.manifest, hip.Factory());
-  ASSERT_TRUE(scan_router.ok());
-  ASSERT_TRUE(hip_router.ok());
+  auto computed_router =
+      FleetRouter::Connect(computed.manifest, computed.Factory());
+  auto stored_router = FleetRouter::Connect(stored.manifest, stored.Factory());
+  ASSERT_TRUE(computed_router.ok());
+  ASSERT_TRUE(stored_router.ok());
 
   // Sweep: every wire-expressible collector, merged across the three
   // engines, bitwise equal to the single-process scan reference.
   std::vector<CollectorSpec> spec = FullSpec();
   Reference ref;
   RunReference(full, spec, &ref);
-  SweepPlan plan;
-  auto built = BuildPlanFromSpec(spec, &plan);
-  ASSERT_TRUE(built.ok());
-  SweepRequestMsg sweep;
-  sweep.collectors = spec;
-  sweep.num_threads = 2;
-  ASSERT_TRUE(hip_router.value().ExecuteSweep(sweep, built.value()).ok());
-  ExpectCollectorsIdentical(spec, ref.collectors, built.value(), "hip sweep");
+  for (FleetRouter* router : {&stored_router.value(),
+                              &computed_router.value()}) {
+    SweepPlan plan;
+    auto built = BuildPlanFromSpec(spec, &plan);
+    ASSERT_TRUE(built.ok());
+    SweepRequestMsg sweep;
+    sweep.collectors = spec;
+    sweep.num_threads = 2;
+    ASSERT_TRUE(router->ExecuteSweep(sweep, built.value()).ok());
+    ExpectCollectorsIdentical(spec, ref.collectors, built.value(),
+                              "hip sweep");
+  }
 
   // Lone points and one mixed batch: identical payload bytes.
   std::vector<PointRequestMsg> requests;
@@ -644,22 +651,31 @@ TEST(ServeTest, ResidentHipFleetMatchesScanFleetByteForByte) {
     requests.push_back(r);
   }
   for (const PointRequestMsg& r : requests) {
-    auto a = scan_router.value().Point(r);
-    auto b = hip_router.value().Point(r);
+    auto a = computed_router.value().Point(r);
+    auto b = stored_router.value().Point(r);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     EXPECT_EQ(EncodePointResponse(a.value()), EncodePointResponse(b.value()))
         << "node " << r.node;
+    if (r.kind == PointKind::kNodeStats) {
+      HipEstimator oracle(full.of(static_cast<NodeId>(r.node)), full.k,
+                          full.flavor, full.ranks);
+      const std::vector<double> expected = {oracle.ReachableCount(),
+                                            oracle.HarmonicCentrality(),
+                                            oracle.DistanceSum()};
+      EXPECT_EQ(b.value().values, expected) << "node " << r.node;
+    }
   }
-  std::vector<PointBatchResponseEntry> scan_batch =
-      scan_router.value().PointBatch(requests);
-  std::vector<PointBatchResponseEntry> hip_batch =
-      hip_router.value().PointBatch(requests);
-  ASSERT_EQ(scan_batch.size(), hip_batch.size());
-  for (size_t i = 0; i < scan_batch.size(); ++i) {
-    ASSERT_TRUE(scan_batch[i].status.ok()) << "entry " << i;
-    ASSERT_TRUE(hip_batch[i].status.ok()) << "entry " << i;
-    EXPECT_EQ(scan_batch[i].payload, hip_batch[i].payload) << "entry " << i;
+  std::vector<PointBatchResponseEntry> computed_batch =
+      computed_router.value().PointBatch(requests);
+  std::vector<PointBatchResponseEntry> stored_batch =
+      stored_router.value().PointBatch(requests);
+  ASSERT_EQ(computed_batch.size(), stored_batch.size());
+  for (size_t i = 0; i < computed_batch.size(); ++i) {
+    ASSERT_TRUE(computed_batch[i].status.ok()) << "entry " << i;
+    ASSERT_TRUE(stored_batch[i].status.ok()) << "entry " << i;
+    EXPECT_EQ(computed_batch[i].payload, stored_batch[i].payload)
+        << "entry " << i;
   }
 }
 

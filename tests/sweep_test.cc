@@ -4,8 +4,9 @@
 // engine (in-memory arena, zero-copy mmap, sharded with and without
 // prefetch at every lookahead depth) and for every thread count — while
 // costing exactly ONE backend pass (observable through the sharded
-// backend's shard-load counter). Plus the failure contract (a truncated
-// shard fails the whole plan) and the SoA layout's bitwise equivalence.
+// backend's shard-load counter). Every result is also checked against the
+// owning-scan oracle. Plus the failure contract (a truncated shard fails
+// the whole plan).
 
 #include "ads/sweep.h"
 
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ads/builders.h"
@@ -73,36 +75,56 @@ struct SixStatPlan {
   }
 
   // Bitwise comparison of every collected statistic against the
-  // standalone whole-graph queries on the reference arena.
-  void ExpectMatchesStandalone(const FlatAdsSet& ref) const {
-    EXPECT_EQ(hist->Distribution(), EstimateDistanceDistribution(ref, 1));
+  // standalone whole-graph queries on the reference arena, and against
+  // the same statistics folded from owning-scan estimators.
+  void ExpectMatchesStandalone(const FlatAdsSet& ref_set) const {
+    FlatAdsBackend ref(&ref_set);
+    EXPECT_EQ(hist->Distribution(),
+              EstimateDistanceDistribution(ref, 1).value());
     EXPECT_EQ(hist->NeighborhoodFunction(),
-              EstimateNeighborhoodFunction(ref, 1));
-    EXPECT_EQ(hist->EffectiveDiameter(), EstimateEffectiveDiameter(ref));
-    EXPECT_EQ(hist->MeanDistance(), EstimateMeanDistance(ref));
+              EstimateNeighborhoodFunction(ref, 1).value());
+    EXPECT_EQ(hist->EffectiveDiameter(),
+              EstimateEffectiveDiameter(ref).value());
+    EXPECT_EQ(hist->MeanDistance(), EstimateMeanDistance(ref).value());
     EXPECT_EQ(closeness->values(),
-              EstimateClosenessAll(ref, AlphaFn, BetaFn, 1));
-    EXPECT_EQ(distsum->values(), EstimateDistanceSumAll(ref, 1));
-    EXPECT_EQ(harmonic->values(), EstimateHarmonicCentralityAll(ref, 1));
-    EXPECT_EQ(nsize->values(), EstimateNeighborhoodSizeAll(ref, 2.0, 1));
-    EXPECT_EQ(reach->values(), EstimateReachableCountAll(ref, 1));
+              EstimateClosenessAll(ref, AlphaFn, BetaFn, 1).value());
+    EXPECT_EQ(distsum->values(), EstimateDistanceSumAll(ref, 1).value());
+    EXPECT_EQ(harmonic->values(),
+              EstimateHarmonicCentralityAll(ref, 1).value());
+    EXPECT_EQ(nsize->values(),
+              EstimateNeighborhoodSizeAll(ref, 2.0, 1).value());
+    EXPECT_EQ(reach->values(), EstimateReachableCountAll(ref, 1).value());
     EXPECT_EQ(top->TopNodes(),
-              TopKNodes(EstimateHarmonicCentralityAll(ref, 1), 5));
+              TopKNodes(EstimateHarmonicCentralityAll(ref, 1).value(), 5));
+
+    std::vector<HipEstimator> oracle;
+    for (NodeId v = 0; v < ref_set.num_nodes(); ++v) {
+      oracle.emplace_back(ref_set.of(v), ref_set.k, ref_set.flavor,
+                          ref_set.ranks);
+    }
+    DistanceHistogramCollector oracle_hist;
+    oracle_hist.Begin(oracle.size());
+    oracle_hist.Reduce(0, oracle);
+    EXPECT_EQ(hist->Distribution(), oracle_hist.Distribution());
+    for (NodeId v = 0; v < ref_set.num_nodes(); ++v) {
+      const HipEstimator& est = oracle[v];
+      EXPECT_EQ(closeness->values()[v], est.Closeness(AlphaFn, BetaFn));
+      EXPECT_EQ(distsum->values()[v], est.DistanceSum());
+      EXPECT_EQ(harmonic->values()[v], est.HarmonicCentrality());
+      EXPECT_EQ(nsize->values()[v], est.NeighborhoodCardinality(2.0));
+      EXPECT_EQ(reach->values()[v], est.ReachableCount());
+    }
   }
 };
 
 TEST(SweepTest, FusedPlanMatchesStandaloneOnSingleArenas) {
   FlatAdsSet flat = BuildFlat(180, 3, 8);
-  AdsSet owning = flat.ToAdsSet();
+  FlatAdsBackend aliased(&flat);
+  FlatAdsBackend owned(FlatAdsSet::FromAdsSet(flat.ToAdsSet()));
   for (uint32_t threads : {1u, 2u, 4u}) {
-    {
+    for (const FlatAdsBackend* backend : {&aliased, &owned}) {
       SixStatPlan fused;
-      RunSweep(flat, fused.plan, threads);
-      fused.ExpectMatchesStandalone(flat);
-    }
-    {
-      SixStatPlan fused;
-      RunSweep(owning, fused.plan, threads);
+      ASSERT_TRUE(RunSweep(*backend, fused.plan, threads).ok());
       fused.ExpectMatchesStandalone(flat);
     }
   }
@@ -151,47 +173,59 @@ TEST(SweepTest, FusedPlanBitwiseIdenticalAcrossBackends) {
   }
 }
 
-// Storage-resident HIP weights feed the same fused plan: every engine
-// serving the precomputed section, at every thread count, stays bitwise
-// identical to the standalone scan-path queries on the hip-less reference.
+// HIP weights stored in a file's section and weights computed when an
+// engine opens a file without one feed the same fused plan: every engine,
+// at every thread count, stays bitwise identical to the standalone queries
+// and the owning-scan oracle on the hip-less reference.
 TEST(SweepTest, FusedPlanBitwiseIdenticalWithResidentHipWeights) {
   FlatAdsSet reference = BuildFlat(230, 7, 8);  // same set as the matrix test
-  FlatAdsSet with_hip = BuildFlat(230, 7, 8);
+  FlatAdsSet with_hip = reference;
   PrecomputeHipWeights(&with_hip, 2);
   ScratchDir dir("hipads_sweep_test_hip");
-  std::string file_path = dir.file("set.ads2");
-  std::string shard_dir = dir.file("shards");
-  ASSERT_TRUE(
-      WriteAdsSetFile(with_hip, file_path, AdsFileFormat::kBinaryV2).ok());
-  ASSERT_TRUE(WriteShardedAdsSet(with_hip, shard_dir, 5).ok());
+  struct Input {
+    std::string path;
+    const FlatAdsSet* set;
+    AdsFileFormat format;
+  };
+  const Input inputs[] = {
+      {dir.file("stored.ads2"), &with_hip, AdsFileFormat::kBinaryV2},
+      {dir.file("plain.ads2"), &reference, AdsFileFormat::kBinaryV2},
+      {dir.file("plain.ads"), &reference, AdsFileFormat::kTextV1},
+  };
+  for (const Input& in : inputs) {
+    ASSERT_TRUE(WriteAdsSetFile(*in.set, in.path, in.format).ok());
+  }
+  const std::string stored_shards = dir.file("stored_shards");
+  const std::string plain_shards = dir.file("plain_shards");
+  ASSERT_TRUE(WriteShardedAdsSet(with_hip, stored_shards, 5).ok());
+  ASSERT_TRUE(WriteShardedAdsSet(reference, plain_shards, 5).ok());
 
   for (uint32_t threads : {1u, 2u, 4u}) {
-    {
-      FlatAdsBackend flat(&with_hip);
-      ASSERT_TRUE(flat.HipResident());
+    for (const FlatAdsSet* set : {&with_hip, &reference}) {
+      FlatAdsBackend flat(set);
       SixStatPlan fused;
       ASSERT_TRUE(RunSweep(flat, fused.plan, threads).ok());
       fused.ExpectMatchesStandalone(reference);
     }
-    {
-      auto mapped = MmapAdsSet::Open(file_path);
+    for (const Input& in : inputs) {
+      auto mapped = MmapAdsSet::Open(in.path);
       ASSERT_TRUE(mapped.ok());
-      ASSERT_TRUE(mapped.value().HipResident());
       SixStatPlan fused;
       ASSERT_TRUE(RunSweep(mapped.value(), fused.plan, threads).ok());
       fused.ExpectMatchesStandalone(reference);
     }
-    for (bool use_mmap : {false, true}) {
-      ShardedOptions options;
-      options.max_resident = 1;
-      options.use_mmap = use_mmap;
-      auto sharded = ShardedAdsSet::Open(shard_dir, options);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      ASSERT_TRUE(sharded.value().HipResident());
-      SixStatPlan fused;
-      ASSERT_TRUE(RunSweep(sharded.value(), fused.plan, threads).ok())
-          << "mmap=" << use_mmap;
-      fused.ExpectMatchesStandalone(reference);
+    for (const std::string& shard_dir : {stored_shards, plain_shards}) {
+      for (bool use_mmap : {false, true}) {
+        ShardedOptions options;
+        options.max_resident = 1;
+        options.use_mmap = use_mmap;
+        auto sharded = ShardedAdsSet::Open(shard_dir, options);
+        ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+        SixStatPlan fused;
+        ASSERT_TRUE(RunSweep(sharded.value(), fused.plan, threads).ok())
+            << shard_dir << " mmap=" << use_mmap;
+        fused.ExpectMatchesStandalone(reference);
+      }
     }
   }
 }
@@ -293,7 +327,8 @@ TEST(SweepTest, DeepPrefetchSweepsAreDeterministic) {
   std::string shard_dir = dir.file("shards");
   ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 6).ok());
 
-  std::vector<double> reference = EstimateHarmonicCentralityAll(set, 1);
+  std::vector<double> reference =
+      EstimateHarmonicCentralityAll(FlatAdsBackend(&set), 1).value();
   for (bool use_mmap : {false, true}) {
     for (uint32_t depth : {2u, 3u}) {
       ShardedOptions options;
@@ -319,46 +354,6 @@ TEST(SweepTest, DeepPrefetchSweepsAreDeterministic) {
   }
 }
 
-// The SoA split: per-field streams produce bitwise-identical HIP weights
-// and estimates for every flavor (the kernels are one template).
-TEST(SweepTest, SoaLayoutMatchesAosBitwise) {
-  Graph g = ErdosRenyi(140, 3ULL * 140, true, 23);
-  struct Case {
-    SketchFlavor flavor;
-    RankAssignment ranks;
-  };
-  const Case cases[] = {
-      {SketchFlavor::kBottomK, RankAssignment::Uniform(24)},
-      {SketchFlavor::kBottomK, RankAssignment::BaseB(24, 2.0)},
-      {SketchFlavor::kKMins, RankAssignment::Uniform(25)},
-      {SketchFlavor::kKPartition, RankAssignment::Uniform(26)},
-  };
-  for (const Case& c : cases) {
-    FlatAdsSet flat = FlatAdsSet::FromAdsSet(
-        BuildAdsPrunedDijkstra(g, 8, c.flavor, c.ranks));
-    SoaAdsArena soa = SoaAdsArena::FromFlat(flat);
-    ASSERT_EQ(soa.num_nodes(), flat.num_nodes());
-    ASSERT_EQ(soa.TotalEntries(), flat.TotalEntries());
-    for (NodeId v = 0; v < flat.num_nodes(); ++v) {
-      auto aos_hip = ComputeHipWeights(flat.of(v), 8, c.flavor, c.ranks);
-      auto soa_hip = ComputeHipWeights(soa.of(v), 8, c.flavor, c.ranks);
-      ASSERT_EQ(aos_hip.size(), soa_hip.size()) << "node " << v;
-      for (size_t i = 0; i < aos_hip.size(); ++i) {
-        EXPECT_EQ(aos_hip[i].node, soa_hip[i].node);
-        EXPECT_EQ(aos_hip[i].dist, soa_hip[i].dist);
-        EXPECT_EQ(aos_hip[i].tau, soa_hip[i].tau);
-        EXPECT_EQ(aos_hip[i].weight, soa_hip[i].weight);
-      }
-      HipEstimator aos_est(flat.of(v), 8, c.flavor, c.ranks);
-      HipEstimator soa_est(soa.of(v), 8, c.flavor, c.ranks);
-      EXPECT_EQ(aos_est.HarmonicCentrality(), soa_est.HarmonicCentrality());
-      EXPECT_EQ(aos_est.ReachableCount(), soa_est.ReachableCount());
-      EXPECT_EQ(aos_est.NeighborhoodCardinality(2.0),
-                soa_est.NeighborhoodCardinality(2.0));
-    }
-  }
-}
-
 // The collector-library additions: per-node distance quantiles and custom
 // Q_g ride the fused pass and match per-node HipEstimator evaluation.
 TEST(SweepTest, QuantileAndQgCollectorsMatchPerNodeEstimators) {
@@ -368,7 +363,7 @@ TEST(SweepTest, QuantileAndQgCollectorsMatchPerNodeEstimators) {
   auto* q90 = plan.Emplace<DistanceQuantileCollector>(0.9);
   auto g = [](NodeId, double d) { return std::pow(0.5, d); };
   auto* qg = plan.Emplace<QgCollector>(g);
-  RunSweep(set, plan, 2);
+  ASSERT_TRUE(RunSweep(FlatAdsBackend(&set), plan, 2).ok());
   for (NodeId v = 0; v < set.num_nodes(); ++v) {
     HipEstimator est(set.of(v), set.k, set.flavor, set.ranks);
     EXPECT_EQ(median->values()[v], est.DistanceQuantile(0.5)) << v;
@@ -389,7 +384,7 @@ TEST(SweepTest, EncodedPartialsReplayToTheSingleProcessResultBitwise) {
   SweepPlan full_plan;
   auto* full_hist = full_plan.Emplace<DistanceHistogramCollector>();
   auto* full_harmonic = full_plan.Emplace<HarmonicCentralityCollector>();
-  RunSweep(set, full_plan, 1);
+  ASSERT_TRUE(RunSweep(FlatAdsBackend(&set), full_plan, 1).ok());
 
   for (std::vector<NodeId> splits :
        {std::vector<NodeId>{0, 85, 170}, {0, 40, 90, 170}}) {
@@ -411,7 +406,8 @@ TEST(SweepTest, EncodedPartialsReplayToTheSingleProcessResultBitwise) {
       SweepPlan range_plan;
       auto* hist = range_plan.Emplace<DistanceHistogramCollector>();
       auto* harmonic = range_plan.Emplace<HarmonicCentralityCollector>();
-      RunSweep(slice, range_plan, 2);
+      ASSERT_TRUE(
+          RunSweep(FlatAdsBackend(std::move(slice)), range_plan, 2).ok());
 
       NodeId slice_nodes = splits[r + 1] - splits[r];
       std::string hist_partial, harmonic_partial;
@@ -469,10 +465,11 @@ TEST(SweepTest, CollectorsResetBetweenSweeps) {
   HarmonicCentralityCollector harmonic;
   SweepPlan plan;
   plan.Add(&hist).Add(&harmonic);
-  RunSweep(set, plan, 1);
+  ASSERT_TRUE(RunSweep(FlatAdsBackend(&set), plan, 1).ok());
   auto first_hist = hist.Distribution();
   auto first_harmonic = harmonic.values();
-  RunSweep(set, plan, 2);  // rerun: Begin must clear, not accumulate
+  // Rerun: Begin must clear, not accumulate.
+  ASSERT_TRUE(RunSweep(FlatAdsBackend(&set), plan, 2).ok());
   EXPECT_EQ(hist.Distribution(), first_hist);
   EXPECT_EQ(harmonic.values(), first_harmonic);
 }

@@ -51,14 +51,11 @@
 // sharded set reads every shard file exactly once however many statistics
 // are requested.
 //
-// HIP-resident storage: `sketch --hip 1` and `convert --hip 1` precompute
-// the HIP estimator weights and store them in the v2 binary's optional HIP
-// section (+16 bytes/entry); `convert --strip-hip 1` removes the section.
-// Serving a HIP-resident file turns every point estimator into a pointer
-// wrap over the mapped weights — `stats` and `serve` report which mode is
-// active as `hip=resident|scan` (`stats` on stderr, keeping its stdout
-// bitwise interchangeable with `--remote` runs). Answers are bitwise
-// identical either way.
+// HIP-resident storage: every binary file `sketch`, `convert` and `shard`
+// write carries the HIP estimator weights in the v2 binary's HIP section
+// (+16 bytes/entry), so serving it turns every point estimator into a
+// pointer wrap over the stored weights. Files without the section (v1
+// text, older v2 files) get their weights computed once when opened.
 //
 // Observability: every process keeps a registry of named counters, gauges
 // and latency histograms (util/metrics.h). `stats-scrape --remote ADDR`
@@ -77,10 +74,8 @@
 // Examples:
 //   hipads_cli generate --model ba --nodes 100000 --out graph.txt
 //   hipads_cli sketch --graph graph.txt --k 32 --format binary --out s.ads2
-//   hipads_cli sketch --graph g.txt --format binary --hip 1 --out sh.ads2
 //   hipads_cli convert --in s.ads2 --format text --out s.ads
-//   hipads_cli convert --in s.ads2 --hip 1 --out s-hip.ads2
-//   hipads_cli convert --in s-hip.ads2 --strip-hip 1 --out s.ads2
+//   hipads_cli convert --in s.ads --format binary --out s.ads2
 //   hipads_cli shard --in s.ads2 --shards 8 --out-dir shards/
 //   hipads_cli query --sketches s.ads2 --backend=mmap --node 17 --distance 3
 //   hipads_cli query --sketches s.ads2 --node 17 --lookup 4,8,15
@@ -368,30 +363,19 @@ int CmdSketch(const Args& args) {
                  format_name.c_str());
     return 2;
   }
-  // --hip 1: precompute the HIP estimator weights once, at build time, and
-  // store them in the v2 binary's optional HIP section so every serving
-  // engine materializes estimators as a pointer wrap instead of a scan.
-  const bool add_hip = args.GetInt("hip", 0) != 0;
-  if (add_hip && shards == 0 && format != AdsFileFormat::kBinaryV2) {
-    std::fprintf(stderr,
-                 "--hip requires the v2 binary format (the text format has "
-                 "no HIP section)\n");
-    return 2;
-  }
-  // Both layouts serialize to byte-identical bytes, so write straight from
-  // the builder output; query/stats load files into the flat arena. The
-  // HIP path goes through the flat arena, whose entry positions the stored
-  // weight arrays align with.
+  // Binary output carries the HIP weights, computed once here at build
+  // time, so every serving engine materializes estimators as a pointer
+  // wrap. They go through the flat arena, whose entry positions the stored
+  // weight arrays align with; the text format has no HIP section, and
+  // both layouts serialize to byte-identical text.
   Status s;
-  if (add_hip) {
+  if (shards > 0 || format == AdsFileFormat::kBinaryV2) {
     FlatAdsSet flat = FlatAdsSet::FromAdsSet(set);
     PrecomputeHipWeights(&flat, threads);
     s = shards > 0 ? WriteShardedAdsSet(flat, out, shards)
                    : WriteAdsSetFile(flat, out, format);
   } else {
-    s = shards > 0 ? WriteShardedAdsSet(FlatAdsSet::FromAdsSet(set), out,
-                                        shards)
-                   : WriteAdsSetFile(set, out, format);
+    s = WriteAdsSetFile(set, out, format);
   }
   if (!s.ok()) return Fail(s);
   std::printf(
@@ -414,39 +398,21 @@ int CmdConvert(const Args& args) {
   }
   AdsFileFormat format;
   if (!ParseFormatFlag(args.Get("format", "binary"), &format)) return 2;
-  const bool add_hip = args.GetInt("hip", 0) != 0;
-  const bool strip_hip = args.GetInt("strip-hip", 0) != 0;
-  if (add_hip && strip_hip) {
-    std::fprintf(stderr, "--hip and --strip-hip conflict\n");
-    return 2;
-  }
-  if (add_hip && format != AdsFileFormat::kBinaryV2) {
-    std::fprintf(stderr,
-                 "--hip requires the v2 binary format (the text format has "
-                 "no HIP section)\n");
-    return 2;
-  }
   auto loaded = ReadFlatAdsSetFile(in);
   if (!loaded.ok()) return Fail(loaded.status());
   FlatAdsSet set = std::move(loaded).value();
-  if (strip_hip) {
-    set.hip_tau.clear();
-    set.hip_weight.clear();
-  } else if (add_hip && !set.has_hip()) {
+  if (format == AdsFileFormat::kBinaryV2 && !set.has_hip()) {
     PrecomputeHipWeights(&set,
                          static_cast<uint32_t>(args.GetInt("threads", 0)));
   }
   Status s = WriteAdsSetFile(set, out, format);
   if (!s.ok()) return Fail(s);
-  std::printf("converted %s -> %s (%s, %zu nodes, %llu entries, hip=%s)\n",
+  std::printf("converted %s -> %s (%s, %zu nodes, %llu entries)\n",
               in.c_str(), out.c_str(),
               format == AdsFileFormat::kBinaryV2 ? "hipads-ads-v2 binary"
                                                  : "hipads-ads-v1 text",
               set.num_nodes(),
-              static_cast<unsigned long long>(set.TotalEntries()),
-              set.has_hip() && format == AdsFileFormat::kBinaryV2
-                  ? "resident"
-                  : "scan");
+              static_cast<unsigned long long>(set.TotalEntries()));
   return 0;
 }
 
@@ -461,6 +427,7 @@ int CmdShard(const Args& args) {
   uint32_t shards = static_cast<uint32_t>(args.GetInt("shards", 4));
   auto loaded = ReadFlatAdsSetFile(in);
   if (!loaded.ok()) return Fail(loaded.status());
+  if (!loaded.value().has_hip()) PrecomputeHipWeights(&loaded.value());
   Status s = WriteShardedAdsSet(loaded.value(), dir, shards);
   if (!s.ok()) return Fail(s);
   std::printf("sharded %s -> %s: %u shards, %zu nodes, %llu entries\n",
@@ -861,16 +828,6 @@ int CmdStats(const Args& args) {
       break;
     }
   }
-  // hip=resident means every point estimator materializes from storage-
-  // resident weights (a pointer wrap); scan recomputes them per node. The
-  // answers are bitwise identical either way — this is about speed, so it
-  // goes to stderr as engine diagnostics: stdout stays bitwise
-  // interchangeable between local and --remote runs (a tested guarantee),
-  // and a remote sweep has no local backend to probe anyway.
-  if (backend != nullptr) {
-    std::fprintf(stderr, "hip=%s\n",
-                 backend->HipResident() ? "resident" : "scan");
-  }
   std::printf("nodes: %zu, k=%u, entries=%llu\n", out.num_nodes, out.k,
               static_cast<unsigned long long>(out.total_entries));
   std::printf("effective diameter (%g): %.1f\n", quantile, eff_diameter);
@@ -1048,11 +1005,10 @@ int CmdServe(const Args& args) {
   if (!started.ok()) return Fail(started);
   ServerInfoMsg info = core.Info();
   std::printf(
-      "serving nodes [%llu, %llu) (k=%u, %llu entries, hip=%s) on port %u\n",
+      "serving nodes [%llu, %llu) (k=%u, %llu entries) on port %u\n",
       static_cast<unsigned long long>(info.node_begin),
       static_cast<unsigned long long>(info.node_end), info.k,
-      static_cast<unsigned long long>(info.total_entries),
-      opened.value()->HipResident() ? "resident" : "scan", server.port());
+      static_cast<unsigned long long>(info.total_entries), server.port());
   std::fflush(stdout);
   ServeForever(args.GetInt("metrics-interval-s", 0));
 }
